@@ -13,11 +13,11 @@ import sys
 
 from .cores import (MODES, core_contains, medium_core_nonempty,
                     strong_core_nonempty, weak_core_nonempty)
-from .errors import CapExceeded, CoalstabError, EmptyBlockAllocation, InputError
+from .errors import CoalstabError, EmptyBlockAllocation, InputError
 from .game import (DEFAULT_PLAYER_CAP, PAPair, Partition, equal_surplus_allocation,
                    worth)
 from .io import (load_game, mask_to_names, parse_allocation, parse_partition,
-                 partition_to_text, rational_json)
+                 partition_names, partition_to_text, rational_json)
 from .lattice import GRAPH_EXPORT_MAX_N, export_graph
 from .rational import format_rational
 from .sam import sam_run
@@ -28,9 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default: table)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for sampling-based commands; current commands "
-                             "are fully deterministic")
     common.add_argument("--cap", type=int, default=DEFAULT_PLAYER_CAP,
                         help=f"player-count cap override (default {DEFAULT_PLAYER_CAP})")
 
@@ -147,8 +144,7 @@ def _cmd_stability(args) -> int:
         except EmptyBlockAllocation as err:
             payload = {"command": "stability", "mode": args.mode,
                        "players": list(players),
-                       "partition": [[players[i] for i in range(game.n) if b >> i & 1]
-                                     for b in partition.blocks],
+                       "partition": partition_names(partition, players),
                        "feasible": False, "stable": False, "reason": str(err)}
             _emit(args, payload, f"stable: no\nfeasible: no\nreason: {err}\n")
             return 1
@@ -222,8 +218,7 @@ def _cmd_enumerate(args) -> int:
     game, players = loaded.game, loaded.players
     found = list(enumerate_stable_partitions(game, args.mode))
     payload = {"command": "enumerate", "mode": args.mode, "players": list(players),
-               "partitions": [{"partition": [[players[i] for i in range(game.n) if b >> i & 1]
-                                             for b in p.blocks],
+               "partitions": [{"partition": partition_names(p, players),
                                "worth": rational_json(worth(game, p))}
                               for p in found]}
     lines = [f"{partition_to_text(p, players)}  worth {format_rational(worth(game, p))}"
@@ -246,9 +241,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (InputError, CapExceeded) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except CoalstabError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -18,7 +18,8 @@ from typing import Sequence
 
 from .errors import InputError, NoNonGrandPartition
 from .game import (Game, Partition, _check_allocation, equal_surplus_allocation,
-                   members, subgame)
+                   subgame)
+from .io import _mask_from, _partition_from, mask_names, partition_names
 from .rational import Rational
 from . import ratlp
 
@@ -48,16 +49,13 @@ class CoreReport:
     reason: str | None = None
 
     def to_json(self, players: Sequence[str] | None = None) -> dict:
-        def names(mask):
-            return [players[i] if players else i for i in members(mask)]
-
         out = {"mode": self.mode, "member": self.member}
         if self.coalition is not None:
-            out["coalition"] = names(self.coalition)
+            out["coalition"] = mask_names(self.coalition, players)
         if self.partition is not None:
-            out["partition"] = [names(b) for b in self.partition.blocks]
+            out["partition"] = partition_names(self.partition, players)
         if self.satisfied is not None:
-            out["satisfied"] = [names(m) for m in self.satisfied]
+            out["satisfied"] = [mask_names(m, players) for m in self.satisfied]
         if self.reason is not None:
             out["reason"] = self.reason
         return out
@@ -78,24 +76,6 @@ def _check_mode(mode: str) -> str:
     if mode not in MODES:
         raise InputError(f"unknown core mode {mode!r}; expected one of {MODES}")
     return mode
-
-
-def _mask_from(group, players: Sequence[str] | None) -> int | None:
-    """Invert the name-list rendering used by ``to_json``."""
-    if group is None:
-        return None
-    if players is None:
-        return sum(1 << i for i in group)
-    index = {name: i for i, name in enumerate(players)}
-    return sum(1 << index[name] for name in group)
-
-
-def _partition_from(groups, players, n) -> Partition | None:
-    if groups is None:
-        return None
-    blocks = [_mask_from(g, players) for g in groups]
-    size = n if n is not None else max(b.bit_length() for b in blocks)
-    return Partition(size, blocks)
 
 
 def prefix_sums(x: tuple, n: int) -> list:

@@ -113,6 +113,36 @@ def partition_to_text(p: Partition, players) -> str:
     return "|".join(mask_to_names(b, players) for b in p.blocks)
 
 
+def mask_names(mask: int, players) -> list:
+    """JSON rendering of a coalition: its player names, or its player indices
+    when ``players`` is None."""
+    return [players[i] if players else i for i in members(mask)]
+
+
+def partition_names(p: Partition, players) -> list:
+    """JSON rendering of a partition: one :func:`mask_names` list per block."""
+    return [mask_names(b, players) for b in p.blocks]
+
+
+def _mask_from(group, players) -> int | None:
+    """Invert :func:`mask_names`."""
+    if group is None:
+        return None
+    if players is None:
+        return sum(1 << i for i in group)
+    index = {name: i for i, name in enumerate(players)}
+    return sum(1 << index[name] for name in group)
+
+
+def _partition_from(groups, players, n) -> Partition | None:
+    """Invert :func:`partition_names`."""
+    if groups is None:
+        return None
+    blocks = [_mask_from(g, players) for g in groups]
+    size = n if n is not None else max(b.bit_length() for b in blocks)
+    return Partition(size, blocks)
+
+
 def parse_partition(text: str, players) -> Partition:
     """Parse block syntax like ``"A,C|B"`` against the game's player names."""
     index = {p: i for i, p in enumerate(players)}

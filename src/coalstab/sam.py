@@ -18,20 +18,13 @@ from typing import Sequence
 
 from .cores import _structure_blocks, _structure_table, subset_structure_table
 from .errors import NoCoarsening
-from .game import (Game, PAPair, Partition, _check_partition,
-                   equal_surplus_allocation, members)
+from .game import Game, PAPair, Partition, _check_partition, equal_surplus_allocation
+from .io import _partition_from, partition_names
 from .lattice import _sorted_blocks
-from .rational import Rational, format_rational
+from .rational import Rational, format_rational, parse_rational
 
 FISSION = "fission"
 FUSION = "fusion"
-
-
-@dataclass(frozen=True)
-class SamMove:
-    direction: str
-    target: Partition
-    target_worth: Rational
 
 
 @dataclass(frozen=True)
@@ -54,27 +47,21 @@ class SamTrace:
     terminal_pair: PAPair
 
     def to_json(self, players: Sequence[str] | None = None) -> dict:
-        def blocks(p):
-            return [[players[i] if players else i for i in members(b)] for b in p.blocks]
-
         return {
-            "start": blocks(self.start),
+            "start": partition_names(self.start, players),
             "steps": [{
-                "from": blocks(s.source),
-                "to": blocks(s.target),
+                "from": partition_names(s.source, players),
+                "to": partition_names(s.target, players),
                 "from_worth": format_rational(s.source_worth),
                 "to_worth": format_rational(s.target_worth),
                 "direction": s.direction,
             } for s in self.steps],
-            "terminal": blocks(self.terminal),
+            "terminal": partition_names(self.terminal, players),
             "allocation": [format_rational(v) for v in self.terminal_pair.allocation],
         }
 
     @classmethod
     def from_json(cls, data: dict, players: Sequence[str] | None = None) -> "SamTrace":
-        from .cores import _partition_from
-        from .rational import parse_rational
-
         n = len(players) if players else None
         part = lambda groups: _partition_from(groups, players, n)
         steps = tuple(SamStep(source=part(s["from"]), target=part(s["to"]),
@@ -154,7 +141,7 @@ def best_coarsening(game: Game, p: Partition) -> tuple[Rational, Partition]:
     return best, pick
 
 
-def sam_step(game: Game, p: Partition) -> SamMove | None:
+def sam_step(game: Game, p: Partition) -> SamStep | None:
     """One steepest-ascent move, or None when ``p`` already dominates both
     neighborhoods (ties between directions go to fusion)."""
     _check_partition(game, p)
@@ -164,9 +151,9 @@ def sam_step(game: Game, p: Partition) -> SamMove | None:
     if len(p.blocks) >= 2:
         coarse_worth, coarse_to = best_coarsening(game, p)
         if coarse_worth > current and coarse_worth >= refine_worth:
-            return SamMove(FUSION, coarse_to, coarse_worth)
+            return SamStep(p, coarse_to, current, coarse_worth, FUSION)
     if refine_worth > current:
-        return SamMove(FISSION, refine_to, refine_worth)
+        return SamStep(p, refine_to, current, refine_worth, FISSION)
     return None
 
 
@@ -175,15 +162,13 @@ def sam_run(game: Game, start: Partition | None = None) -> SamTrace:
     no move improves, then equal-surplus split the terminal blocks."""
     p = Partition.singletons(game.n) if start is None else start
     _check_partition(game, p)
-    vals = game._values
     steps = []
     while True:
-        move = sam_step(game, p)
-        if move is None:
+        step = sam_step(game, p)
+        if step is None:
             break
-        steps.append(SamStep(p, move.target, sum(vals[b] for b in p.blocks),
-                             move.target_worth, move.direction))
-        p = move.target
+        steps.append(step)
+        p = step.target
     allocation = equal_surplus_allocation(game, p)
     return SamTrace(start=steps[0].source if steps else p, steps=tuple(steps),
                     terminal=p, terminal_pair=PAPair(p, allocation))

@@ -7,9 +7,12 @@ medium compares total worths, weak needs just one satisfied new
 sub-coalition per attempt. Fusion resistance is single-flavored: no group of
 existing blocks is worth more merged than separate.
 
-Each resistance has two independent implementations, a direct scan over the
-whole neighborhood and a per-block decomposition through subgame cores;
-:func:`stable_contains` runs both and raises if they ever disagree.
+Fission is decided block by block: a pair resists fission in a mode exactly
+when each block's restricted allocation lies in that mode's core of the
+block's subgame, and the first block that does not yields a defeating
+refinement lifted from its subgame's core certificate.
+:func:`fission_resistant_direct` scans every strict refinement instead; it is
+the reference the tests compare the per-block route against.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cores import (MEDIUM, STRONG, _blockwise_core_nonempty_cached, _check_mode,
-                    _structure_table, core_contains, prefix_sums)
+from .cores import (MEDIUM, STRONG, CoreReport, _blockwise_core_nonempty_cached,
+                    _check_mode, _structure_table, core_contains, prefix_sums)
 from .errors import CapExceeded, InfeasiblePair
 from .game import (Game, PAPair, Partition, _check_allocation, _check_partition,
                    is_partition_allocation, members, subgame)
+from .io import _partition_from, partition_names
 from .lattice import (_iter_refinements_raw, _sorted_blocks, all_partitions,
                       enumerate_partitions)
 from .rational import Rational
@@ -49,24 +53,19 @@ class StabilityReport:
     reason: str | None = None
 
     def to_json(self, players: Sequence[str] | None = None) -> dict:
-        def blocks(p):
-            return [[players[i] if players else i for i in members(b)] for b in p.blocks]
-
         out = {"mode": self.mode, "feasible": self.feasible, "stable": self.stable,
                "fission_resistant": self.fission_resistant,
                "fusion_resistant": self.fusion_resistant}
         if self.fission_certificate is not None:
-            out["fission_certificate"] = blocks(self.fission_certificate)
+            out["fission_certificate"] = partition_names(self.fission_certificate, players)
         if self.fusion_certificate is not None:
-            out["fusion_certificate"] = blocks(self.fusion_certificate)
+            out["fusion_certificate"] = partition_names(self.fusion_certificate, players)
         if self.reason is not None:
             out["reason"] = self.reason
         return out
 
     @classmethod
     def from_json(cls, data: dict, players: Sequence[str] | None = None) -> "StabilityReport":
-        from .cores import _partition_from
-
         n = len(players) if players else None
         return cls(
             mode=data["mode"], feasible=data["feasible"], stable=data["stable"],
@@ -85,58 +84,74 @@ def _require_feasible(game: Game, pair: PAPair) -> tuple:
     return xs
 
 
-def _fission_direct(game: Game, blocks: tuple[int, ...], xs: tuple,
-                    mode: str) -> tuple[bool, tuple[int, ...] | None]:
+def fission_resistant_direct(game: Game, pair: PAPair, mode: str) -> bool:
+    """Scan every strict refinement of the pair's partition and apply the
+    mode's blocking rule to it. Costs Bell-many refinements; this is the
+    reference the per-block route is tested against."""
+    _check_mode(mode)
+    xs = _require_feasible(game, pair)
+    blocks = pair.partition.blocks
     vals = game._values
     if mode == MEDIUM:
         current = sum(vals[b] for b in blocks)
         for ref in _iter_refinements_raw(blocks):
             if sum(vals[b] for b in ref) > current:
-                return False, ref
-        return True, None
+                return False
+        return True
     sums = prefix_sums(xs, game.n)
     own = set(blocks)
     if mode == STRONG:
         for ref in _iter_refinements_raw(blocks):
             for b in ref:
                 if b not in own and sums[b] < vals[b]:
-                    return False, ref
-        return True, None
+                    return False
+        return True
     for ref in _iter_refinements_raw(blocks):  # weak: some new block must hold out
         if not any(b not in own and sums[b] >= vals[b] for b in ref):
-            return False, ref
-    return True, None
-
-
-def fission_resistant_direct(game: Game, pair: PAPair, mode: str) -> bool:
-    """Scan every strict refinement of the pair's partition and apply the
-    mode's blocking rule to it."""
-    _check_mode(mode)
-    xs = _require_feasible(game, pair)
-    return _fission_direct(game, pair.partition.blocks, xs, mode)[0]
-
-
-def _fission_decomposed(game: Game, blocks: tuple[int, ...], xs: tuple, mode: str) -> bool:
-    vals = game._values
-    if mode == MEDIUM:
-        # a block resists all splits exactly when no partition of it beats its value
-        val, _, _ = _structure_table(game)
-        return all(val[b] == vals[b] for b in blocks)
-    for b in blocks:
-        if b & (b - 1) == 0:
-            continue
-        sub, players = subgame(game, b)
-        if not core_contains(sub, tuple(xs[i] for i in players), mode).member:
             return False
     return True
 
 
+def _first_outside(game: Game, blocks: tuple[int, ...], xs: tuple,
+                   mode: str) -> tuple[int, tuple[int, ...], CoreReport] | None:
+    """The first block whose restricted allocation lies outside the mode's
+    core of its subgame, with the subgame's player map and core report; None
+    when every block's lies inside."""
+    for b in blocks:
+        sub, players = subgame(game, b)
+        report = core_contains(sub, tuple(xs[i] for i in players), mode)
+        if not report.member:
+            return b, players, report
+    return None
+
+
+def _lift(mask: int, players: tuple[int, ...]) -> int:
+    """Map a subgame coalition back to the game's player mask."""
+    return sum(1 << players[i] for i in members(mask))
+
+
+def _defeating_refinement(game: Game, blocks: tuple[int, ...], b: int,
+                          players: tuple[int, ...], report: CoreReport) -> Partition:
+    """Replace block ``b`` of a feasible pair by the parts its subgame's core
+    certificate names: strong splits it at the blocking coalition, medium and
+    weak use the violating partition. Either way the new parts defeat the
+    pair under the direct rule."""
+    if report.coalition is not None:
+        c = _lift(report.coalition, players)
+        parts = [c, b ^ c]
+    else:
+        parts = [_lift(s, players) for s in report.partition.blocks]
+    return Partition._unchecked(game.n, _sorted_blocks(
+        [a for a in blocks if a != b] + parts))
+
+
 def fission_resistant_decomposed(game: Game, pair: PAPair, mode: str) -> bool:
     """Per-block route: each block's restricted allocation must sit in the
-    matching core of that block's subgame. Always agrees with the direct scan."""
+    matching core of that block's subgame. This is the route
+    :func:`stable_contains` answers through."""
     _check_mode(mode)
     xs = _require_feasible(game, pair)
-    return _fission_decomposed(game, pair.partition.blocks, xs, mode)
+    return _first_outside(game, pair.partition.blocks, xs, mode) is None
 
 
 def _fusion_scan(game: Game, blocks: tuple[int, ...]) -> tuple[bool, int]:
@@ -188,11 +203,7 @@ def blockwise_core_contains(game: Game, p: Partition, x: Sequence[Rational],
     _check_mode(mode)
     _check_partition(game, p)
     xs = _check_allocation(game, x)
-    for b in p.blocks:
-        sub, players = subgame(game, b)
-        if not core_contains(sub, tuple(xs[i] for i in players), mode).member:
-            return False
-    return True
+    return _first_outside(game, p.blocks, xs, mode) is None
 
 
 def blockwise_core_nonempty(game: Game, p: Partition, mode: str) -> bool:
@@ -214,9 +225,9 @@ def dominates_coarsenings(game: Game, p: Partition) -> bool:
 
 
 def stable_contains(game: Game, pair: PAPair, mode: str) -> StabilityReport:
-    """Full stability verdict: fission resistance in the given mode plus
-    fusion resistance. Runs the decomposed characterization alongside the
-    direct one and raises if they disagree."""
+    """Full stability verdict: fission resistance in the given mode, decided
+    block by block through subgame cores, plus fusion resistance. A defeated
+    pair comes with a defeating refinement and/or coarsening."""
     _check_mode(mode)
     xs = _check_allocation(game, pair.allocation)
     p = pair.partition
@@ -224,24 +235,13 @@ def stable_contains(game: Game, pair: PAPair, mode: str) -> StabilityReport:
     if not is_partition_allocation(game, p, xs):
         return StabilityReport(mode, feasible=False, stable=False,
                                reason="allocation is not feasible for the partition")
-    fission, ref = _fission_direct(game, p.blocks, xs, mode)
+    outside = _first_outside(game, p.blocks, xs, mode)
     fusion, merged = _fusion_scan(game, p.blocks)
-    stable = fission and fusion
-
-    decomposed = _fission_decomposed(game, p.blocks, xs, mode)
-    patched = blockwise_core_contains(game, p, xs, mode)
-    supports = blockwise_core_nonempty(game, p, mode)
-    if decomposed != fission or patched != fission or (patched and not supports) \
-            or stable != (supports and fusion and patched):
-        raise AssertionError(
-            "direct and decomposed stability characterizations disagree; "
-            "this is a bug, please report it")
-
     return StabilityReport(
-        mode, feasible=True, stable=stable,
-        fission_resistant=fission, fusion_resistant=fusion,
-        fission_certificate=None if ref is None else Partition._unchecked(
-            game.n, _sorted_blocks(ref)),
+        mode, feasible=True, stable=outside is None and fusion,
+        fission_resistant=outside is None, fusion_resistant=fusion,
+        fission_certificate=None if outside is None else _defeating_refinement(
+            game, p.blocks, *outside),
         fusion_certificate=None if not merged else _merge_partition(game, p.blocks, merged))
 
 

@@ -3,13 +3,16 @@
 Everything here is deliberately independent of the library's own algorithms:
 enumeration by element insertion, linear algebra by Gaussian elimination,
 optima by vertex enumeration. These are the slow-but-obvious routes the fast
-implementations are checked against.
+implementations are checked against. The one exception is
+:func:`checked_stable_contains`, which compares against the library's direct
+refinement scan, the reference route for fission resistance.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from coalstab import Game, Partition, coalition_value, members
+from coalstab import (Game, Partition, coalition_value, fission_resistant_direct, members,
+                      stable_contains)
 
 
 # ---------------------------------------------------------------- counting
@@ -144,6 +147,42 @@ def weak_nonempty_oracle_n3(game: Game) -> bool:
                 continue
             return True
     return False
+
+
+# ------------------------------------------------- stability, cross-checked
+
+def checked_stable_contains(game: Game, pair, mode):
+    """``stable_contains`` with its answer checked: the fission verdict must
+    equal the library's direct refinement scan, each certificate must be a
+    strict refinement (fission) or coarsening (fusion) of the pair's
+    partition, and it must defeat the pair under the mode's rule, checked
+    here by hand."""
+    report = stable_contains(game, pair, mode)
+    if not report.feasible:
+        assert report.fission_resistant is None and report.fusion_resistant is None
+        return report
+    assert report.stable == (report.fission_resistant and report.fusion_resistant)
+    assert report.fission_resistant == fission_resistant_direct(game, pair, mode)
+    assert (report.fission_certificate is None) == report.fission_resistant
+    assert (report.fusion_certificate is None) == report.fusion_resistant
+    own = pair.partition.blocks
+    current = sum(game.value(b) for b in own)
+    if report.fission_certificate is not None:
+        ref = report.fission_certificate.blocks
+        assert Partition(game.n, ref).blocks == ref and refines_oracle(ref, own)
+        sums = allocation_sums(pair.allocation, game.n)
+        new = [b for b in ref if b not in own]
+        if mode == "strong":
+            assert any(sums[b] < game.value(b) for b in new)
+        elif mode == "medium":
+            assert sum(game.value(b) for b in ref) > current
+        else:
+            assert all(sums[b] < game.value(b) for b in new)
+    if report.fusion_certificate is not None:
+        coarse = report.fusion_certificate.blocks
+        assert Partition(game.n, coarse).blocks == coarse and refines_oracle(own, coarse)
+        assert sum(game.value(b) for b in coarse) > current
+    return report
 
 
 # ------------------------------------------------------ exact linear algebra

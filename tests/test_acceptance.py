@@ -12,15 +12,16 @@ from coalstab import (Game, LinearProgram, PAPair, Partition, all_partitions,
                       balancedness_value, best_coarsening, best_refinement,
                       dominates_coarsenings, enumerate_partitions,
                       enumerate_stable_partitions, fission_neighborhood,
-                      fission_resistant_decomposed, fission_resistant_direct,
+                      fission_resistant_decomposed,
                       fusion_neighborhood, is_partition_allocation, lp_solve,
                       max_nongrand_worth, medium_core_contains, medium_core_nonempty,
                       one_step_fission, one_step_fusion, optimal_structure_value,
-                      path, sam_run, stable_contains, strong_core_contains,
+                      path, sam_run, strong_core_contains,
                       strong_core_nonempty, weak_core_contains, weak_core_nonempty,
                       worth)
 from coalstab.lattice import FISSION
-from helpers import (bell_numbers, medium_member_partition_scan, random_game,
+from helpers import (bell_numbers, checked_stable_contains, medium_member_partition_scan,
+                     random_game,
                      random_partition, sample_efficient_allocations,
                      sample_feasible_allocations, strong_member_partition_scan,
                      weak_member_partition_scan, weak_nonempty_oracle_n3)
@@ -59,7 +60,7 @@ def test_criterion_02_three_player_household(game_b):
 def test_criterion_03_two_player_split(game_2):
     started = time.time()
     pair = PAPair(Partition.singletons(2), (1, 1))
-    assert stable_contains(game_2, pair, "strong").stable is True
+    assert checked_stable_contains(game_2, pair, "strong").stable is True
     assert strong_core_nonempty(game_2) == (False, None)
     _report("03 two-player split", "strong stability + empty core", started)
 
@@ -82,7 +83,7 @@ def test_criterion_04_universality():
                 assert trace.terminal.blocks in stable
                 assert is_partition_allocation(game, trace.terminal,
                                                trace.terminal_pair.allocation)
-                assert stable_contains(game, trace.terminal_pair, "medium").stable
+                assert checked_stable_contains(game, trace.terminal_pair, "medium").stable
     _report("04 universality", f"4000 games, {runs} ascent runs, zero failures", started)
 
 
@@ -105,7 +106,7 @@ def test_criterion_05_inclusion_chains():
                     continue
                 pairs += 1
                 pair = PAPair(p, xs[0])
-                verdict = {m: stable_contains(game, pair, m).stable for m in MODES}
+                verdict = {m: checked_stable_contains(game, pair, m).stable for m in MODES}
                 assert (not verdict["strong"] or verdict["medium"])
                 assert (not verdict["medium"] or verdict["weak"])
     _report("05 inclusion chains",
@@ -121,7 +122,8 @@ def test_criterion_06_equivalence_oracles():
         checked += 1
         pair = PAPair(p, x)
         for mode in MODES:
-            assert (fission_resistant_direct(game, pair, mode)
+            # checked_stable_contains compares against fission_resistant_direct
+            assert (checked_stable_contains(game, pair, mode).fission_resistant
                     == fission_resistant_decomposed(game, pair, mode))
 
     def check_alloc(game, x):

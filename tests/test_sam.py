@@ -5,8 +5,8 @@ import pytest
 from coalstab import (Game, NoCoarsening, Partition, all_partitions, best_coarsening,
                       best_refinement, enumerate_stable_partitions, fission_neighborhood,
                       fusion_neighborhood, is_partition_allocation, sam_run, sam_step,
-                      stable_contains, worth)
-from helpers import random_game, random_partition
+                      worth)
+from helpers import checked_stable_contains, random_game, random_partition
 
 
 def test_best_refinement_examples(game_b):
@@ -126,7 +126,7 @@ def test_sam_trace_invariants():
                 assert step.source_worth == worth(g, step.source)
             assert is_partition_allocation(g, trace.terminal,
                                            trace.terminal_pair.allocation)
-            assert stable_contains(g, trace.terminal_pair, "medium").stable
+            assert checked_stable_contains(g, trace.terminal_pair, "medium").stable
             stable = {p.blocks for p in enumerate_stable_partitions(g, "medium")}
             assert trace.terminal.blocks in stable
 

@@ -5,10 +5,12 @@ import pytest
 from coalstab import (Game, InfeasiblePair, PAPair, Partition, all_partitions,
                       blockwise_core_contains, blockwise_core_nonempty, CapExceeded,
                       core_contains, dominates_coarsenings, enumerate_stable_partitions,
+                      equal_surplus_allocation,
                       fission_resistant_decomposed, fission_resistant_direct,
-                      fusion_resistant, fusion_neighborhood,
-                      stable_contains, worth)
-from helpers import random_game, sample_feasible_allocations
+                      fusion_resistant, fusion_neighborhood, worth)
+from coalstab import cores, lattice, ratlp, stability
+from helpers import (checked_stable_contains, random_game, random_partition,
+                     sample_feasible_allocations)
 
 MODES = ("strong", "medium", "weak")
 
@@ -54,7 +56,6 @@ def test_fusion_resistance_examples(game_b):
     for n in (1, 2, 3):
         g = random_game(rng, n)
         try:
-            from coalstab import equal_surplus_allocation
             x = equal_surplus_allocation(g, Partition.grand(n))
         except Exception:
             continue
@@ -137,26 +138,26 @@ def test_dominates_coarsenings_examples(game_b, game_2):
 
 
 def test_stable_contains_examples(game_b, game_2):
-    report = stable_contains(game_2, pair(2, [[0], [1]], (1, 1)), "strong")
+    report = checked_stable_contains(game_2, pair(2, [[0], [1]], (1, 1)), "strong")
     assert report.stable and report.feasible
 
-    report = stable_contains(game_b, pair(3, [[0, 2], [1]], (3, 4, 3)), "medium")
+    report = checked_stable_contains(game_b, pair(3, [[0, 2], [1]], (3, 4, 3)), "medium")
     assert report.stable
 
-    report = stable_contains(game_b, pair(3, [[0, 1, 2]], (0, 6, 2)), "medium")
+    report = checked_stable_contains(game_b, pair(3, [[0, 1, 2]], (0, 6, 2)), "medium")
     assert not report.stable and report.fission_certificate is not None
 
-    report = stable_contains(game_b, pair(3, [[0, 1], [2]], (0, 0, 0)), "medium")
+    report = checked_stable_contains(game_b, pair(3, [[0, 1], [2]], (0, 0, 0)), "medium")
     assert not report.stable and not report.feasible and report.reason
 
 
 def test_stable_certificates_check_out(game_b):
-    report = stable_contains(game_b, pair(3, [[0, 1, 2]], (0, 6, 2)), "medium")
+    report = checked_stable_contains(game_b, pair(3, [[0, 1, 2]], (0, 6, 2)), "medium")
     cert = report.fission_certificate
     assert cert is not None
     assert worth(game_b, cert) > worth(game_b, Partition.grand(3))
 
-    report = stable_contains(game_b, pair(3, [[0], [1], [2]], (0, 4, 0)), "weak")
+    report = checked_stable_contains(game_b, pair(3, [[0], [1], [2]], (0, 4, 0)), "weak")
     assert not report.fusion_resistant
     cert = report.fusion_certificate
     assert cert is not None
@@ -171,7 +172,7 @@ def test_stability_core_compatibility_at_grand():
             grand = Partition.grand(n)
             for x in sample_feasible_allocations(g, grand, rng, count=3):
                 for mode in MODES:
-                    assert (stable_contains(g, PAPair(grand, x), mode).stable
+                    assert (checked_stable_contains(g, PAPair(grand, x), mode).stable
                             == core_contains(g, x, mode).member)
 
 
@@ -182,7 +183,7 @@ def test_stability_inclusion_chain():
             g = random_game(rng, n)
             for p in all_partitions(n):
                 for x in sample_feasible_allocations(g, p, rng, count=2):
-                    verdict = {mode: stable_contains(g, PAPair(p, x), mode).stable
+                    verdict = {mode: checked_stable_contains(g, PAPair(p, x), mode).stable
                                for mode in MODES}
                     assert (not verdict["strong"] or verdict["medium"])
                     assert (not verdict["medium"] or verdict["weak"])
@@ -245,7 +246,7 @@ def test_stable_set_matches_brute_force_over_pairs():
                 stable_partitions = set()
                 for p in all_partitions(n):
                     for x in sample_feasible_allocations(g, p, rng, count=3):
-                        if stable_contains(g, PAPair(p, x), mode).stable:
+                        if checked_stable_contains(g, PAPair(p, x), mode).stable:
                             stable_partitions.add(p.blocks)
                 enumerated = {p.blocks for p in enumerate_stable_partitions(g, mode)}
                 # sampling can miss a strong/weak core member, never invent one
@@ -254,3 +255,55 @@ def test_stable_set_matches_brute_force_over_pairs():
                     # the medium blockwise core, when nonempty, is the whole
                     # feasible set, so any sampled allocation certifies
                     assert stable_partitions == enumerated
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make every LP solve, weak-core search and refinement scan raise."""
+    def boom(*args, **kwargs):
+        raise AssertionError("stable_contains must not reach this")
+
+    monkeypatch.setattr(ratlp, "lp_solve", boom)
+    monkeypatch.setattr(cores, "weak_core_nonempty", boom)
+    monkeypatch.setattr(lattice, "_iter_refinements_raw", boom)
+    monkeypatch.setattr(stability, "_iter_refinements_raw", boom)
+    return monkeypatch
+
+
+def test_stable_contains_runs_only_the_per_block_route(no_search):
+    rng = random.Random(13)
+    seen = []
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(10):
+            g = random_game(rng, n)
+            for _ in range(3):
+                p = random_partition(rng, n)
+                for x in sample_feasible_allocations(g, p, rng, count=2)[:3]:
+                    for mode in MODES:
+                        pr = PAPair(p, x)
+                        seen.append((g, pr, mode, stability.stable_contains(g, pr, mode)))
+    assert len(seen) > 300
+    no_search.undo()
+    for g, pr, mode, report in seen:
+        assert checked_stable_contains(g, pr, mode) == report
+
+
+# An adversarial 6-player game (index 5 from random.Random(7) with values
+# randint(0,10)*|S|**2, grand value max//2 + randint(0,20)): deciding its
+# weak-core nonemptiness takes thousands of LP solves, which the per-block
+# fission route never needs.
+ADVERSARIAL_6 = [
+    0, 2, 8, 32, 2, 0, 0, 90, 1, 32, 8, 54, 12, 27, 0, 64, 3, 16, 32, 27, 36, 45,
+    36, 128, 24, 18, 0, 80, 63, 160, 144, 200, 6, 32, 8, 72, 8, 72, 72, 0, 28, 18,
+    81, 0, 18, 32, 32, 175, 36, 9, 72, 0, 45, 160, 128, 200, 72, 112, 16, 200, 0,
+    75, 75, 101]
+
+
+def test_adversarial_weak_grand_pair(no_search):
+    g = Game(6, ADVERSARIAL_6)
+    grand = Partition.grand(6)
+    pr = PAPair(grand, equal_surplus_allocation(g, grand))
+    report = stability.stable_contains(g, pr, "weak")
+    assert report.feasible and report.fission_resistant is False
+    no_search.undo()
+    assert checked_stable_contains(g, pr, "weak") == report
