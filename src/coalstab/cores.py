@@ -8,13 +8,15 @@ partition contains at least one satisfied block.
 Exponential costs, by operation: membership scans cost 2^n (strong) or 3^n
 (weak deficiency table); the optimal-structure table costs 3^n once per game
 and is cached; weak nonemptiness runs a branch-and-prune over feasibility
-subproblems solved exactly.
+subproblems solved exactly. Every 3^n table is :func:`subset_structure_table`
+over some weights: the game's values, or 0/-1 marks of the coalitions a
+partition may use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, NoNonGrandPartition
 from .game import (Game, Partition, _check_allocation, equal_surplus_allocation,
@@ -140,15 +142,21 @@ def _structure_table(game: Game):
     return tab
 
 
-def _structure_blocks(game: Game, s: int) -> tuple[int, ...]:
-    """Blocks of the canonical worth-maximizing partition of mask ``s``."""
-    _, _, first = _structure_table(game)
+def _table_blocks(first: Sequence[int], s: int) -> tuple[int, ...]:
+    """The argmax partition of mask ``s`` read from a first-block table, its
+    blocks sorted by smallest member (each first block holds the lowest
+    remaining player)."""
     blocks = []
     while s:
         b = first[s]
         blocks.append(b)
         s ^= b
     return tuple(blocks)
+
+
+def _structure_blocks(game: Game, s: int) -> tuple[int, ...]:
+    """Blocks of the canonical worth-maximizing partition of mask ``s``."""
+    return _table_blocks(_structure_table(game)[2], s)
 
 
 def optimal_structure_value(game: Game) -> tuple[Rational, Partition]:
@@ -212,20 +220,8 @@ def strong_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
 
 def strong_core_nonempty(game: Game) -> tuple[bool, tuple | None]:
     """Exact feasibility of the strong-core system, with a witness."""
-    vals = game._values
-    n = game.n
-    full = game.full
-    lower = [vals[1 << i] for i in range(n)]
-    constraints = [([1] * n, ratlp.EQ, vals[full])]
-    for c in range(1, full):
-        if c & (c - 1) == 0:
-            continue  # singletons are the lower bounds
-        row = [1 if c >> i & 1 else 0 for i in range(n)]
-        constraints.append((row, ratlp.GE, vals[c]))
-    out = ratlp.lp_solve(ratlp.LinearProgram(n, constraints=constraints, lower=lower))
-    if out.status != "optimal":
-        return False, None
-    return True, out.witness
+    w = _feasible_with(game, range(1, game.full))
+    return w is not None, w
 
 
 def medium_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
@@ -256,9 +252,11 @@ def weak_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
     """Weak-core membership: efficient, and every non-grand partition keeps at
     least one satisfied block.
 
-    Failure is decided by a table over coalition masks marking which can be
-    partitioned entirely into strictly deficient blocks; the certificate is
-    recovered from its choices.
+    Failure is decided by the structure table over weights 0 for strictly
+    deficient coalitions and -1 for the rest: the allocation fails exactly
+    when some partition is worth 0, and that table's argmax, a fewest-block
+    partition of deficient blocks, is the certificate. Efficiency keeps the
+    grand coalition out of it.
     """
     xs = _check_allocation(game, x)
     vals = game._values
@@ -269,39 +267,18 @@ def weak_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
     sums = prefix_sums(xs, n)
     if sums[full] != vals[full]:
         return CoreReport(WEAK, False, reason="allocation is not efficient")
-    splittable = [False] * (full + 1)
-    choice = [0] * (full + 1)
-    splittable[0] = True
-    for s in range(1, full + 1):
-        low = s & -s
-        rest = s ^ low
-        best = 0
-        sub = rest
-        while True:
-            t = low | sub
-            if sums[t] < vals[t] and splittable[s ^ t]:
-                if best == 0 or _canonical_prefer(t, best):
-                    best = t
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        if best:
-            splittable[s] = True
-            choice[s] = best
-    if not splittable[full]:
-        satisfied = tuple(c for c in range(1, full) if sums[c] >= vals[c])
-        return CoreReport(WEAK, True, satisfied=satisfied)
-    blocks = []
-    s = full
-    while s:
-        blocks.append(choice[s])
-        s ^= choice[s]
-    cert = Partition._unchecked(n, tuple(sorted(blocks, key=lambda b: b & -b)))
-    return CoreReport(WEAK, False, partition=cert)
+    weights = [0 if sums[t] < vals[t] else -1 for t in range(full + 1)]
+    val, _, first = subset_structure_table(weights, n)
+    if val[full] == 0:
+        return CoreReport(WEAK, False, partition=Partition._unchecked(n, _table_blocks(first, full)))
+    satisfied = tuple(c for c in range(1, full) if sums[c] >= vals[c])
+    return CoreReport(WEAK, True, satisfied=satisfied)
 
 
-def _feasible_with(game: Game, required: frozenset) -> tuple | None:
-    """Witness in the efficient set satisfying every coalition in ``required``."""
+def _feasible_with(game: Game, required: Iterable[int]) -> tuple | None:
+    """Witness in the efficient set satisfying every coalition in ``required``:
+    the efficiency row, singleton lower bounds, then one covering row per
+    non-singleton mask in ascending order."""
     vals = game._values
     n = game.n
     lower = [vals[1 << i] for i in range(n)]
@@ -319,32 +296,9 @@ def _unhit_partition(game: Game, required: frozenset) -> tuple[int, ...] | None:
     """A non-grand partition with no block in ``required``, fewest blocks
     first, canonical among those; None when every non-grand partition is hit."""
     full = game.full
-    big = full.bit_length() + 2
-    minb = [big] * (full + 1)
-    pick = [0] * (full + 1)
-    minb[0] = 0
-    for s in range(1, full + 1):
-        low = s & -s
-        rest = s ^ low
-        sub = rest
-        while True:
-            t = low | sub
-            if (s != full or t != full) and t not in required:
-                cand = 1 + minb[s ^ t]
-                if cand < minb[s] or (cand == minb[s] and _canonical_prefer(t, pick[s])):
-                    minb[s] = cand
-                    pick[s] = t
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-    if minb[full] >= big:
-        return None
-    blocks = []
-    s = full
-    while s:
-        blocks.append(pick[s])
-        s ^= pick[s]
-    return tuple(sorted(blocks, key=lambda b: b & -b))
+    weights = [-1 if t in required or t == full else 0 for t in range(full + 1)]
+    val, _, first = subset_structure_table(weights, game.n)
+    return _table_blocks(first, full) if val[full] == 0 else None
 
 
 def weak_core_nonempty(game: Game) -> tuple[bool, tuple | None]:

@@ -118,11 +118,11 @@ class Partition:
     def __init__(self, n: int, blocks: Iterable[int]):
         if not isinstance(n, int) or n < 1:
             raise InputError(f"player count must be a positive int, got {n!r}")
-        bl = tuple(sorted((int(b) for b in blocks), key=lambda b: b & -b))
+        bl = tuple(blocks)
         full = (1 << n) - 1
         seen = 0
         for b in bl:
-            if b <= 0 or b > full:
+            if not isinstance(b, int) or b <= 0 or b > full:
                 raise InputError(f"block {b!r} is not a nonempty coalition over {n} players")
             if seen & b:
                 raise InputError("blocks overlap")
@@ -130,7 +130,7 @@ class Partition:
         if seen != full:
             raise InputError("blocks do not cover every player")
         self.n = n
-        self.blocks = bl
+        self.blocks = tuple(sorted(bl, key=lambda b: b & -b))
 
     @classmethod
     def from_sets(cls, n: int, groups: Iterable[Iterable[int]]) -> "Partition":

@@ -46,6 +46,8 @@ def parse_game_json(text: str, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
     except json.JSONDecodeError as err:
         raise InputError(f"invalid JSON at line {err.lineno}, column {err.colno}: "
                          f"{err.msg}") from err
+    except ValueError as err:  # a number beyond the interpreter's limit on integer digits
+        raise InputError(f"invalid number in game file: {err}") from err
     return parse_game_dict(doc, cap=cap)
 
 

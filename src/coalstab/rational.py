@@ -14,7 +14,7 @@ from .errors import InputError
 
 Rational = int | Fraction
 
-_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def exact(value) -> Rational:
@@ -35,10 +35,11 @@ def parse_rational(text: str) -> Rational:
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise InputError(f"cannot parse rational {text!r}: expected an integer or p/q")
-    num = int(m.group(1))
-    if m.group(2) is None:
-        return num
-    den = int(m.group(2))
+    try:
+        num = int(m.group(1))
+        den = int(m.group(2) or 1)
+    except ValueError as err:  # beyond the interpreter's limit on integer digits
+        raise InputError(f"cannot parse rational of {len(text)} characters: {err}") from err
     if den == 0:
         raise InputError(f"cannot parse rational {text!r}: zero denominator")
     return exact(Fraction(num, den))

@@ -8,7 +8,9 @@ its blocks yields a mediumly stable pair.
 
 Neither neighborhood is materialized: the refinement side decomposes block
 by block through the optimal-structure table, and the coarsening side runs
-the same table on quotient games rooted at each forced pair-merge.
+the same table once on the quotient game whose players are the current
+blocks, then picks the best block of two or more quotient players to merge
+next to the optimal structure of the rest.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cores import _structure_blocks, _structure_table, subset_structure_table
+from .cores import (_structure_blocks, _structure_table, _table_blocks,
+                    subset_structure_table)
 from .errors import NoCoarsening
 from .game import Game, PAPair, Partition, _check_partition, equal_surplus_allocation
 from .io import _partition_from, partition_names
@@ -90,14 +93,15 @@ def best_refinement(game: Game, p: Partition) -> tuple[Rational, Partition]:
 
 
 def best_coarsening(game: Game, p: Partition) -> tuple[Rational, Partition]:
-    """Maximum worth over all strict coarsenings of ``p``, with a
-    deterministic argmax (the canonically smallest of the per-merge optima).
+    """Maximum worth over all strict coarsenings of ``p``, with the canonical
+    argmax: the optimal coarsening with the smallest :meth:`Partition.sort_key`.
 
     Coarsenings are partitions of the quotient game whose players are the
-    blocks of ``p`` and whose values come from unions of blocks. Every
-    non-trivial quotient partition keeps some pair of blocks together, so
-    force-merging each pair in turn and optimizing the reduced quotient
-    covers the whole neighborhood.
+    blocks of ``p`` and whose values come from unions of blocks. Every strict
+    coarsening has a block B of at least two quotient players, and the best
+    one containing B is B plus the optimal structure of the other quotient
+    players. So one structure table on the quotient game (3^q cells) and a
+    scan over every such B (2^q masks) cover the whole neighborhood.
     """
     _check_partition(game, p)
     blocks = p.blocks
@@ -105,40 +109,25 @@ def best_coarsening(game: Game, p: Partition) -> tuple[Rational, Partition]:
     if q < 2:
         raise NoCoarsening("the grand-coalition partition has no coarsening")
     vals = game._values
-    best = None
-    winners = []  # (union table, first-block table, reduced size)
-    for i in range(q):
-        for j in range(i + 1, q):
-            reduced = [blocks[i] | blocks[j]]
-            reduced.extend(blocks[k] for k in range(q) if k != i and k != j)
-            k = q - 1
-            size = 1 << k
-            union = [0] * size
-            qvals = [0] * size
-            for m in range(1, size):
-                low = m & -m
-                union[m] = union[m ^ low] | reduced[low.bit_length() - 1]
-                qvals[m] = vals[union[m]]
-            val, _, first = subset_structure_table(qvals, k)
-            cand = val[size - 1]
-            if best is None or cand > best:
-                best = cand
-                winners = [(union, first, size - 1)]
-            elif cand == best:
-                winners.append((union, first, size - 1))
-    pick = None
-    pick_key = None
-    for union, first, full in winners:
-        out = []
-        s = full
-        while s:
-            out.append(union[first[s]])
-            s ^= first[s]
-        part = Partition._unchecked(game.n, _sorted_blocks(out))
-        key = part.sort_key()
-        if pick_key is None or key < pick_key:
-            pick, pick_key = part, key
-    return best, pick
+    full = (1 << q) - 1
+    union = [0] * (full + 1)
+    qvals = [0] * (full + 1)
+    for m in range(1, full + 1):
+        low = m & -m
+        union[m] = union[m ^ low] | blocks[low.bit_length() - 1]
+        qvals[m] = vals[union[m]]
+    val, nblocks, first = subset_structure_table(qvals, q)
+    keys = {b: (qvals[b] + val[full ^ b], -nblocks[full ^ b])
+            for b in range(3, full + 1) if b & (b - 1)}
+    top = max(keys.values())
+
+    def coarsening(b: int) -> Partition:
+        out = [union[b]] + [union[t] for t in _table_blocks(first, full ^ b)]
+        return Partition._unchecked(game.n, _sorted_blocks(out))
+
+    pick = min((coarsening(b) for b, key in keys.items() if key == top),
+               key=Partition.sort_key)
+    return top[0], pick
 
 
 def sam_step(game: Game, p: Partition) -> SamStep | None:

@@ -3,9 +3,11 @@
 Everything here is deliberately independent of the library's own algorithms:
 enumeration by element insertion, linear algebra by Gaussian elimination,
 optima by vertex enumeration. These are the slow-but-obvious routes the fast
-implementations are checked against. The one exception is
+implementations are checked against. The exceptions are
 :func:`checked_stable_contains`, which compares against the library's direct
-refinement scan, the reference route for fission resistance.
+refinement scan, the reference route for fission resistance, and
+:func:`best_coarsening_pairwise`, which runs the library's structure table
+once per forced pair-merge.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from itertools import combinations
 
 from coalstab import (Game, Partition, coalition_value, fission_resistant_direct, members,
                       stable_contains)
+from coalstab.cores import subset_structure_table
 
 
 # ---------------------------------------------------------------- counting
@@ -183,6 +186,44 @@ def checked_stable_contains(game: Game, pair, mode):
         assert Partition(game.n, coarse).blocks == coarse and refines_oracle(own, coarse)
         assert sum(game.value(b) for b in coarse) > current
     return report
+
+
+# ------------------------------------------------ coarsening, pair by pair
+
+def best_coarsening_pairwise(game: Game, p: Partition):
+    """Reference for ``best_coarsening``: every strict coarsening keeps some
+    pair of blocks together, so force-merge each pair in turn, optimize the
+    reduced quotient game with the structure table, and return the best worth
+    with the smallest ``sort_key`` among the per-pair argmaxes."""
+    blocks = p.blocks
+    q = len(blocks)
+    assert q >= 2
+    best = None
+    winners = []
+    for i in range(q):
+        for j in range(i + 1, q):
+            reduced = [blocks[i] | blocks[j]]
+            reduced.extend(blocks[k] for k in range(q) if k != i and k != j)
+            size = 1 << (q - 1)
+            union = [0] * size
+            qvals = [0] * size
+            for m in range(1, size):
+                low = m & -m
+                union[m] = union[m ^ low] | reduced[low.bit_length() - 1]
+                qvals[m] = game.value(union[m])
+            val, _, first = subset_structure_table(qvals, q - 1)
+            cand = val[size - 1]
+            out = []
+            s = size - 1
+            while s:
+                out.append(union[first[s]])
+                s ^= first[s]
+            part = Partition(game.n, out)
+            if best is None or cand > best:
+                best, winners = cand, [part]
+            elif cand == best:
+                winners.append(part)
+    return best, min(winners, key=Partition.sort_key)
 
 
 # ------------------------------------------------------ exact linear algebra

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from coalstab import CoreReport, PAPair, Partition, SamTrace, StabilityReport
 from coalstab import (load_game, sam_run, stable_contains, weak_core_contains)
@@ -206,3 +210,26 @@ def test_cap_override(capsys, tmp_path):
     code, out, _ = run(capsys, "core", "find", "--mode", "medium", str(path),
                        "--cap", "15")
     assert code == 0  # all-zero game: grand value ties every partition
+
+
+def test_non_ascii_digits_exit_2(capsys, tmp_path):
+    path = tmp_path / "game.json"
+    for text in ("\u0663", "1/\u0663", "\uff13"):
+        path.write_text(json.dumps({"players": ["A", "B"], "values": {"A,B": text}}))
+        code, out, err = run(capsys, "core", "find", "--mode", "medium", str(path))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_oversized_numbers_exit_2_without_traceback(tmp_path):
+    src = pathlib.Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    digits = "7" * 5000
+    path = tmp_path / "big.json"
+    for raw in (digits, '"%s/3"' % digits):
+        path.write_text('{"players": ["A", "B"], "values": {"A,B": %s}}' % raw)
+        proc = subprocess.run(
+            [sys.executable, "-m", "coalstab.cli", "core", "find", "--mode", "medium",
+             str(path)], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

@@ -8,7 +8,8 @@ from coalstab import (Game, InputError, LinearProgram, NoNonGrandPartition, Part
                       optimal_structure_value, strong_core_contains,
                       strong_core_nonempty, weak_core_contains, weak_core_nonempty,
                       worth)
-from helpers import (medium_member_partition_scan, random_game,
+from coalstab.cores import _unhit_partition
+from helpers import (medium_member_partition_scan, partitions_by_insertion, random_game,
                      sample_efficient_allocations, strong_member_partition_scan,
                      weak_member_partition_scan, weak_nonempty_oracle_n3)
 
@@ -177,6 +178,10 @@ def test_weak_certificates_check_out():
                 elif report.partition is not None:
                     assert len(report.partition.blocks) > 1
                     assert all(sums[b] < g.value(b) for b in report.partition.blocks)
+                    # the certificate is a fewest-block deficient partition
+                    deficient = [len(bl) for bl in partitions_by_insertion(n)
+                                 if all(sums[b] < g.value(b) for b in bl)]
+                    assert len(report.partition.blocks) == min(deficient)
 
 
 def test_core_inclusion_chain():
@@ -202,6 +207,24 @@ def test_grand_dominance_collapses_weak_to_efficient():
         for x in sample_efficient_allocations(g, rng, count=4):
             assert weak_core_contains(g, x).member
     assert checked > 3
+
+
+def test_unhit_partition_matches_brute_force():
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4, 5):
+        g = Game(n, {})
+        nongrand = [bl for bl in partitions_by_insertion(n) if len(bl) > 1]
+        for _ in range(60):
+            density = rng.choice((0.1, 0.4, 0.7, 0.95))
+            required = frozenset(m for m in range(1, g.full + 1) if rng.random() < density)
+            unhit = [bl for bl in nongrand if not any(b in required for b in bl)]
+            got = _unhit_partition(g, required)
+            if not unhit:
+                assert got is None
+                continue
+            assert got is not None and got == Partition(n, got).blocks
+            assert len(got) > 1 and not any(b in required for b in got)
+            assert len(got) == min(len(bl) for bl in unhit)
 
 
 def test_weak_nonempty_examples(game_a, game_b):

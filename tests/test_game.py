@@ -124,6 +124,12 @@ def test_partition_validation():
         Partition(2, [0b101])  # out of range
 
 
+def test_partition_rejects_non_int_blocks():
+    for blocks in ([1.5, 2], ["2", 1], [Fraction(1), 2], [None, 3]):
+        with pytest.raises(InputError):
+            Partition(2, blocks)
+
+
 def test_is_efficient_allocation(game_a, game_b):
     assert is_efficient_allocation(game_a, (2, 2, 2))
     assert not is_efficient_allocation(game_b, (2, 1, 5))  # player B below stand-alone

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from coalstab import InputError, Partition, load_game, parse_allocation, parse_game_json
+from coalstab import (InputError, Partition, load_game, parse_allocation, parse_game_json,
+                      parse_rational)
 from coalstab.io import mask_to_names, parse_partition, partition_to_text, rational_json
 
 
@@ -91,3 +92,19 @@ def test_render_helpers():
     assert rational_json(4) == 4
     assert rational_json(Fraction(6, 3)) == 2
     assert rational_json(Fraction(1, 3)) == "1/3"
+
+
+def test_rationals_take_ascii_digits_only():
+    # Arabic-Indic three, and fullwidth three
+    for text in ("\u0663", "1/\u0663", "\uff13"):
+        with pytest.raises(InputError):
+            parse_rational(text)
+        with pytest.raises(InputError):
+            parse_game_json('{"players": ["A"], "values": {"A": "%s"}}' % text)
+
+
+def test_oversized_numbers_are_input_errors():
+    digits = "7" * 5000
+    for raw in (digits, '"%s/3"' % digits, '"-%s"' % digits):
+        with pytest.raises(InputError):
+            parse_game_json('{"players": ["A"], "values": {"A": %s}}' % raw)

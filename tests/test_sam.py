@@ -6,7 +6,8 @@ from coalstab import (Game, NoCoarsening, Partition, all_partitions, best_coarse
                       best_refinement, enumerate_stable_partitions, fission_neighborhood,
                       fusion_neighborhood, is_partition_allocation, sam_run, sam_step,
                       worth)
-from helpers import checked_stable_contains, random_game, random_partition
+from helpers import (best_coarsening_pairwise, checked_stable_contains, random_game,
+                     random_partition)
 
 
 def test_best_refinement_examples(game_b):
@@ -55,6 +56,18 @@ def test_best_coarsening_matches_brute_force():
                 ups = fusion_neighborhood(p, materialize=True)
                 assert value == max(worth(g, q) for q in ups)
                 assert worth(g, argmax) == value and argmax in set(ups)
+
+
+def test_best_coarsening_equals_pairwise_reference():
+    # tie-heavy 0/1 and 0..3 games exercise the argmax tie-break
+    for lo, hi in ((-10, 10), (0, 3), (0, 1)):
+        for n in (2, 3, 4, 5, 6):
+            rng = random.Random(f"pairwise:{lo}:{hi}:{n}")
+            for _ in range(12 if n < 6 else 4):
+                g = random_game(rng, n, lo, hi)
+                for p in all_partitions(n):
+                    if len(p.blocks) >= 2:
+                        assert best_coarsening(g, p) == best_coarsening_pairwise(g, p)
 
 
 def test_blockwise_dominance_at_refinement_argmax():
