@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 for a positive verdict (member,
 nonempty, stable), 1 for a negative verdict, 2 for input errors and size
-guard refusals.
+guard refusals, 3 for an internal error (a fault in the program, never a
+verdict).
 """
 
 from __future__ import annotations
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
     except CoalstabError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a fault must not exit 1, which reads as a verdict
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

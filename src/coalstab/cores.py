@@ -7,10 +7,11 @@ partition contains at least one satisfied block.
 
 Exponential costs, by operation: membership scans cost 2^n (strong) or 3^n
 (weak deficiency table); the optimal-structure table costs 3^n once per game
-and is cached; weak nonemptiness runs a branch-and-prune over feasibility
-subproblems solved exactly. Every 3^n table is :func:`subset_structure_table`
-over some weights: the game's values, or 0/-1 marks of the coalitions a
-partition may use.
+and is cached; strong nonemptiness is row generation, n-variable LPs with a
+2^n scan per round; weak nonemptiness runs a branch-and-prune over
+feasibility subproblems. Both solve :func:`_feasible_with` exactly. Every 3^n
+table is :func:`subset_structure_table` over some weights: the game's values,
+or 0/-1 marks of the coalitions a partition may use.
 """
 
 from __future__ import annotations
@@ -219,9 +220,24 @@ def strong_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
 
 
 def strong_core_nonempty(game: Game) -> tuple[bool, tuple | None]:
-    """Exact feasibility of the strong-core system, with a witness."""
-    w = _feasible_with(game, range(1, game.full))
-    return w is not None, w
+    """Exact feasibility of the strong-core system, with a witness, by row
+    generation: solve with the efficiency row and the individual-rationality
+    bounds, add the coalition the witness leaves most short (largest
+    v(S) - x(S), lowest mask on ties), and solve again, until no coalition
+    falls short (the witness is a member) or the rows so far are infeasible
+    (so is the whole system). Each added row cuts off a witness that met every
+    earlier row, so no row repeats and the loop ends."""
+    vals = game._values
+    required = []
+    while True:
+        w = _feasible_with(game, required)
+        if w is None:
+            return False, None
+        sums = prefix_sums(w, game.n)
+        worst = max(range(1, game.full), key=lambda c: vals[c] - sums[c], default=0)
+        if not worst or sums[worst] >= vals[worst]:
+            return True, w
+        required.append(worst)
 
 
 def medium_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
@@ -354,9 +370,10 @@ def _blockwise_core_nonempty_cached(game: Game, mask: int, mode: str) -> bool:
     Small blocks collapse: with two players all three cores equal the
     efficient set, and with three players the weak core does too, because
     every non-grand partition of a 3-set contains an always-satisfied
-    singleton. The strong check goes through the covering program, whose
-    optimum the block value must reach; that is a far smaller program than
-    the direct feasibility system and independently cross-checks it.
+    singleton. Larger blocks ask the subgame's own nonemptiness test; for the
+    strong core that is the row-generation loop of
+    :func:`strong_core_nonempty`, and the covering program of
+    :func:`ratlp.balancedness_value` is left to the tests as its oracle.
     """
     size = mask.bit_count()
     if size == 1:
@@ -374,10 +391,7 @@ def _blockwise_core_nonempty_cached(game: Game, mask: int, mode: str) -> bool:
     if got is None:
         sub, _ = subgame(game, mask)
         if mode == STRONG:
-            if size <= ratlp.BALANCE_LP_MAX_N:
-                got = vals[mask] >= ratlp.balancedness_value(sub)
-            else:
-                got = strong_core_nonempty(sub)[0]
+            got = strong_core_nonempty(sub)[0]
         elif mode == MEDIUM:
             got = medium_core_nonempty(sub)
         else:

@@ -18,6 +18,7 @@ the reference the tests compare the per-block route against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator, Sequence
 
 from .cores import (MEDIUM, STRONG, CoreReport, _blockwise_core_nonempty_cached,
@@ -26,7 +27,7 @@ from .errors import CapExceeded, InfeasiblePair
 from .game import (Game, PAPair, Partition, _check_allocation, _check_partition,
                    is_partition_allocation, members, subgame)
 from .io import _partition_from, partition_names
-from .lattice import (_iter_refinements_raw, _sorted_blocks, all_partitions,
+from .lattice import (_bell, _iter_refinements_raw, _sorted_blocks, all_partitions,
                       enumerate_partitions)
 from .rational import Rational
 
@@ -86,11 +87,17 @@ def _require_feasible(game: Game, pair: PAPair) -> tuple:
 
 def fission_resistant_direct(game: Game, pair: PAPair, mode: str) -> bool:
     """Scan every strict refinement of the pair's partition and apply the
-    mode's blocking rule to it. Costs Bell-many refinements; this is the
-    reference the per-block route is tested against."""
+    mode's blocking rule to it. Costs the product of Bell(|b|) over the
+    blocks, refused above Bell(ENUMERATE_MAX_N), the budget
+    :func:`enumerate_stable_partitions` allows; this is the reference the
+    per-block route is tested against."""
     _check_mode(mode)
     xs = _require_feasible(game, pair)
     blocks = pair.partition.blocks
+    cost, budget = prod(_bell(b.bit_count()) for b in blocks), _bell(ENUMERATE_MAX_N)
+    if cost > budget:
+        raise CapExceeded(f"refusing to scan {cost} refinements "
+                          f"(guard is Bell({ENUMERATE_MAX_N}) = {budget})")
     vals = game._values
     if mode == MEDIUM:
         current = sum(vals[b] for b in blocks)

@@ -6,7 +6,7 @@ import sys
 
 from coalstab import CoreReport, PAPair, Partition, SamTrace, StabilityReport
 from coalstab import (load_game, sam_run, stable_contains, weak_core_contains)
-from coalstab.cli import main
+from coalstab.cli import _HANDLERS, main
 
 
 def run(capsys, *argv):
@@ -233,3 +233,13 @@ def test_oversized_numbers_exit_2_without_traceback(tmp_path):
              str(path)], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_internal_error_exits_3(capsys, monkeypatch, game_b_path):
+    def broken(args):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setitem(_HANDLERS, "core", broken)
+    code, out, err = run(capsys, "core", "find", "--mode", "strong", str(game_b_path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: internal error:") and "injected fault" in err

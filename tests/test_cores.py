@@ -8,6 +8,7 @@ from coalstab import (Game, InputError, LinearProgram, NoNonGrandPartition, Part
                       optimal_structure_value, strong_core_contains,
                       strong_core_nonempty, weak_core_contains, weak_core_nonempty,
                       worth)
+from coalstab import ratlp
 from coalstab.cores import _unhit_partition
 from helpers import (medium_member_partition_scan, partitions_by_insertion, random_game,
                      sample_efficient_allocations, strong_member_partition_scan,
@@ -46,6 +47,30 @@ def test_strong_nonempty_examples(game_a, game_2):
     slack = Game(3, {0b111: 100})
     ok, witness = strong_core_nonempty(slack)
     assert ok and strong_core_contains(slack, witness).member
+
+
+def test_strong_nonempty_row_generation_counts(monkeypatch):
+    """Round k solves the efficiency row plus the k-1 coalitions generated so
+    far. Arithmetic is exact and rows are solved in canonical order, so the
+    counts repeat exactly; adding the first violated coalition instead of the
+    most violated one takes 24 rounds on this game."""
+    rng = random.Random(0)
+    n = 10
+    table = [0] + [rng.randint(0, 20) * bin(m).count("1") for m in range(1, 1 << n)]
+    table[-1] = 40 * n
+    g = Game(n, table)
+    rows = []
+    solve = ratlp.lp_solve
+
+    def counted(lp):
+        rows.append(len(lp.constraints))
+        return solve(lp)
+
+    monkeypatch.setattr(ratlp, "lp_solve", counted)
+    ok, witness = strong_core_nonempty(g)
+    assert ok and strong_core_contains(g, witness).member
+    assert rows == list(range(1, len(rows) + 1))
+    assert 2 <= len(rows) <= 18
 
 
 def test_strong_membership_equals_partition_scan():

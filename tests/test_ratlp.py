@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from coalstab import (CapExceeded, Game, InputError, LinearProgram, balancedness_value,
-                      lp_solve, strong_core_nonempty, optimal_structure_value)
+                      lp_solve, strong_core_contains, strong_core_nonempty,
+                      optimal_structure_value)
 from helpers import balancedness_oracle, brute_lp_max, random_game
 
 LE, EQ, GE = "<=", "=", ">="
@@ -158,10 +159,13 @@ def test_balancedness_cap():
 
 def test_bondareva_shapley_and_chain():
     rng = random.Random(31)
-    for n in (2, 3, 4):
+    for n in (2, 3, 4, 5, 6):
         for _ in range(25):
             g = random_game(rng, n)
             plus = balancedness_value(g)
             zero, _ = optimal_structure_value(g)
             assert zero <= plus
-            assert strong_core_nonempty(g)[0] == (g.value(g.full) >= plus)
+            nonempty, witness = strong_core_nonempty(g)
+            assert nonempty == (g.value(g.full) >= plus)
+            if nonempty:
+                assert strong_core_contains(g, witness).member

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from coalstab import (Game, InfeasiblePair, PAPair, Partition, all_partitions,
-                      blockwise_core_contains, blockwise_core_nonempty, CapExceeded,
-                      core_contains, dominates_coarsenings, enumerate_stable_partitions,
-                      equal_surplus_allocation,
+                      balancedness_value, blockwise_core_contains, blockwise_core_nonempty,
+                      CapExceeded, core_contains, dominates_coarsenings,
+                      enumerate_stable_partitions, equal_surplus_allocation,
                       fission_resistant_decomposed, fission_resistant_direct,
-                      fusion_resistant, fusion_neighborhood, worth)
+                      fusion_resistant, fusion_neighborhood, strong_core_contains,
+                      strong_core_nonempty, subgame, worth)
 from coalstab import cores, lattice, ratlp, stability
 from helpers import (checked_stable_contains, random_game, random_partition,
                      sample_feasible_allocations)
@@ -47,6 +48,17 @@ def test_infeasible_pairs_error(game_b):
             fn(game_b, bad, "medium")
     with pytest.raises(InfeasiblePair):
         fusion_resistant(game_b, bad)
+
+
+def test_direct_scan_refuses_past_the_enumerate_budget():
+    g = Game(9)
+    zeros = (0,) * 9
+    # Bell(5) * Bell(4) = 780 refinements is within Bell(8) = 4140
+    assert fission_resistant_direct(g, pair(9, [[0, 1, 2, 3, 4], [5, 6, 7, 8]], zeros),
+                                    "strong")
+    for n in (9, 14):  # Bell(9) = 21147; Bell(14) would never finish
+        with pytest.raises(CapExceeded):
+            fission_resistant_direct(Game(n), PAPair(Partition.grand(n), (0,) * n), "weak")
 
 
 def test_fusion_resistance_examples(game_b):
@@ -129,6 +141,34 @@ def test_blockwise_nonempty_examples(game_a, game_b):
     assert blockwise_core_nonempty(game_b, Partition(3, [0b101, 0b010]), "medium")
     assert not blockwise_core_nonempty(game_a, Partition.grand(3), "strong")
     assert blockwise_core_nonempty(game_a, Partition.grand(3), "medium")
+
+
+def raised_grand_game(rng, n):
+    """A signed random game whose grand value is raised by 4n, which leaves
+    about half of the strong cores nonempty at n = 3..6."""
+    table = list(random_game(rng, n)._values)
+    table[-1] += 4 * n
+    return Game(n, table)
+
+
+def test_strong_blockwise_nonempty_matches_covering_oracle():
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for family in (random_game, raised_grand_game):
+        for n in (3, 4, 5, 6):
+            for _ in range(12):
+                g = family(rng, n)
+                nonempty, witness = strong_core_nonempty(g)
+                if nonempty:
+                    assert strong_core_contains(g, witness).member
+                for p in [Partition.grand(n)] + [random_partition(rng, n) for _ in range(2)]:
+                    for b in p.blocks:
+                        rest = [1 << i for i in range(n) if not b >> i & 1]
+                        alone = Partition(n, [b] + rest)  # singletons always pass
+                        oracle = g.value(b) >= balancedness_value(subgame(g, b)[0])
+                        assert blockwise_core_nonempty(g, alone, "strong") == oracle
+                        verdicts[oracle] += 1
+    assert min(verdicts.values()) >= 50
 
 
 def test_dominates_coarsenings_examples(game_b, game_2):
@@ -286,6 +326,20 @@ def test_stable_contains_runs_only_the_per_block_route(no_search):
     no_search.undo()
     for g, pr, mode, report in seen:
         assert checked_stable_contains(g, pr, mode) == report
+
+
+def test_strong_enumerate_never_solves_the_covering_program(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("the covering program is a test oracle only")
+
+    g = raised_grand_game(random.Random(8), 6)
+    monkeypatch.setattr(ratlp, "balancedness_value", boom)
+    found = [p.blocks for p in enumerate_stable_partitions(g, "strong")]
+    monkeypatch.undo()
+    ok = {b: g.value(b) >= balancedness_value(subgame(g, b)[0]) for b in range(1, 1 << 6)}
+    expected = [p.blocks for p in all_partitions(6)
+                if all(ok[b] for b in p.blocks) and dominates_coarsenings(g, p)]
+    assert found == expected and found
 
 
 # An adversarial 6-player game (index 5 from random.Random(7) with values
