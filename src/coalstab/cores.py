@@ -7,17 +7,19 @@ partition contains at least one satisfied block.
 
 Exponential costs, by operation: membership scans cost 2^n (strong) or 3^n
 (weak deficiency table); the optimal-structure table costs 3^n once per game
-and is cached; strong nonemptiness is row generation, n-variable LPs with a
-2^n scan per round; weak nonemptiness runs a branch-and-prune over
-feasibility subproblems. Both solve :func:`_feasible_with` exactly. Every 3^n
-table is :func:`subset_structure_table` over some weights: the game's values,
-or 0/-1 marks of the coalitions a partition may use.
+and is cached. Strong and weak nonemptiness are one witness search,
+:func:`_witness_search`, over exact n-variable :func:`_feasible_with` LPs: a
+witness outside the core branches on coalitions it leaves short, the most
+short one (strong, a 2^n scan per node) or each block of its deficient
+partition (weak, a 3^n table per node). Every 3^n table is
+:func:`subset_structure_table` over some weights: the game's values, or 0/-1
+marks of the coalitions an allocation leaves deficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, NoNonGrandPartition
 from .game import (Game, Partition, _check_allocation, equal_surplus_allocation,
@@ -221,23 +223,20 @@ def strong_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
 
 def strong_core_nonempty(game: Game) -> tuple[bool, tuple | None]:
     """Exact feasibility of the strong-core system, with a witness, by row
-    generation: solve with the efficiency row and the individual-rationality
-    bounds, add the coalition the witness leaves most short (largest
-    v(S) - x(S), lowest mask on ties), and solve again, until no coalition
-    falls short (the witness is a member) or the rows so far are infeasible
-    (so is the whole system). Each added row cuts off a witness that met every
-    earlier row, so no row repeats and the loop ends."""
+    generation: :func:`_witness_search` whose cut is the one coalition the
+    witness leaves most short (largest v(S) - x(S), lowest mask on ties).
+    Each node has one child, so the search is a loop that adds that row and
+    solves again, until no coalition falls short (the witness is a member)
+    or the rows so far are infeasible (so is the whole system)."""
     vals = game._values
-    required = []
-    while True:
-        w = _feasible_with(game, required)
-        if w is None:
-            return False, None
+
+    def most_short(w: tuple) -> tuple[int, ...]:
         sums = prefix_sums(w, game.n)
         worst = max(range(1, game.full), key=lambda c: vals[c] - sums[c], default=0)
-        if not worst or sums[worst] >= vals[worst]:
-            return True, w
-        required.append(worst)
+        return (worst,) if worst and sums[worst] < vals[worst] else ()
+
+    w = _witness_search(game, most_short)
+    return w is not None, w
 
 
 def medium_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
@@ -308,50 +307,53 @@ def _feasible_with(game: Game, required: Iterable[int]) -> tuple | None:
     return out.witness if out.status == "optimal" else None
 
 
-def _unhit_partition(game: Game, required: frozenset) -> tuple[int, ...] | None:
-    """A non-grand partition with no block in ``required``, fewest blocks
-    first, canonical among those; None when every non-grand partition is hit."""
-    full = game.full
-    weights = [-1 if t in required or t == full else 0 for t in range(full + 1)]
-    val, _, first = subset_structure_table(weights, game.n)
-    return _table_blocks(first, full) if val[full] == 0 else None
+def _witness_search(game: Game, cut: Callable[[tuple], Sequence[int]]) -> tuple | None:
+    """Depth-first search over sets of coalitions required to be satisfied.
+
+    Each node solves :func:`_feasible_with`; an infeasible node is dropped.
+    ``cut(w)`` names coalitions the witness ``w`` leaves short, at least one
+    of which every core member satisfies; an empty cut means ``w`` is a
+    member and is returned. Each child requires one more of those
+    coalitions, first one first. ``w`` meets every required coalition, so
+    requirement sets strictly grow and the search ends; a member meeting a
+    node's requirements meets some child's, so the search is complete.
+    """
+    seen = {frozenset()}
+    stack = [frozenset()]
+    while stack:
+        required = stack.pop()
+        w = _feasible_with(game, required)
+        if w is None:
+            continue
+        short = cut(w)
+        if not short:
+            return w
+        for c in reversed(short):
+            child = required | {c}
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return None
 
 
 def weak_core_nonempty(game: Game) -> tuple[bool, tuple | None]:
-    """Complete branch-and-prune for weak-core nonemptiness.
-
-    Grows a set of coalitions required to be satisfied: a node is pruned when
-    the requirement set is infeasible, succeeds when it hits every non-grand
-    partition, and otherwise branches on the blocks of an unhit partition.
-    Singleton requirements are free (individual rationality implies them), so
-    they seed the root. When the medium core is nonempty the efficient
-    equal-surplus split is already a member and the search is skipped.
+    """Weak-core nonemptiness with a witness: :func:`_witness_search` whose
+    cut is the deficient partition :func:`weak_core_contains` certifies
+    against the witness. Every weak-core member satisfies some block of any
+    non-grand partition, and none of those blocks is already required, since
+    the witness satisfies every required coalition. When the medium core is
+    nonempty the efficient equal-surplus split is already a member and the
+    search is skipped.
     """
-    n = game.n
     if medium_core_nonempty(game):
-        return True, equal_surplus_allocation(game, Partition.grand(n))
-    dead: set[frozenset] = set()
+        return True, equal_surplus_allocation(game, Partition.grand(game.n))
 
-    def search(required: frozenset) -> tuple | None:
-        if required in dead:
-            return None
-        witness = _feasible_with(game, required)
-        if witness is None:
-            dead.add(required)
-            return None
-        violating = _unhit_partition(game, required)
-        if violating is None:
-            return witness
-        for b in violating:
-            got = search(required | {b})
-            if got is not None:
-                return got
-        dead.add(required)
-        return None
+    def deficient(w: tuple) -> tuple[int, ...]:
+        report = weak_core_contains(game, w)
+        return () if report.member else report.partition.blocks
 
-    root = frozenset(1 << i for i in range(n))
-    got = search(root)
-    return (got is not None), got
+    w = _witness_search(game, deficient)
+    return w is not None, w
 
 
 def core_contains(game: Game, x: Sequence[Rational], mode: str) -> CoreReport:
@@ -365,15 +367,12 @@ def core_contains(game: Game, x: Sequence[Rational], mode: str) -> CoreReport:
 
 
 def _blockwise_core_nonempty_cached(game: Game, mask: int, mode: str) -> bool:
-    """Nonemptiness of the mode's core on the subgame of ``mask``; memoized.
+    """Strong- or weak-core nonemptiness on the subgame of ``mask``; memoized.
 
-    Small blocks collapse: with two players all three cores equal the
-    efficient set, and with three players the weak core does too, because
-    every non-grand partition of a 3-set contains an always-satisfied
-    singleton. Larger blocks ask the subgame's own nonemptiness test; for the
-    strong core that is the row-generation loop of
-    :func:`strong_core_nonempty`, and the covering program of
-    :func:`ratlp.balancedness_value` is left to the tests as its oracle.
+    Small blocks collapse: with two players both cores equal the efficient
+    set, and with three players the weak core does too, because every
+    non-grand partition of a 3-set contains an always-satisfied singleton.
+    Larger blocks ask the subgame's own nonemptiness search.
     """
     size = mask.bit_count()
     if size == 1:
@@ -390,11 +389,6 @@ def _blockwise_core_nonempty_cached(game: Game, mask: int, mode: str) -> bool:
     got = memo.get(key)
     if got is None:
         sub, _ = subgame(game, mask)
-        if mode == STRONG:
-            got = strong_core_nonempty(sub)[0]
-        elif mode == MEDIUM:
-            got = medium_core_nonempty(sub)
-        else:
-            got = weak_core_nonempty(sub)[0]
+        got = (strong_core_nonempty if mode == STRONG else weak_core_nonempty)(sub)[0]
         memo[key] = got
     return got

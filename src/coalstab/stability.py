@@ -27,8 +27,7 @@ from .errors import CapExceeded, InfeasiblePair
 from .game import (Game, PAPair, Partition, _check_allocation, _check_partition,
                    is_partition_allocation, members, subgame)
 from .io import _partition_from, partition_names
-from .lattice import (_bell, _iter_refinements_raw, _sorted_blocks, all_partitions,
-                      enumerate_partitions)
+from .lattice import _bell, _iter_refinements_raw, _sorted_blocks, all_partitions
 from .rational import Rational
 
 ENUMERATE_MAX_N = 8
@@ -252,16 +251,14 @@ def stable_contains(game: Game, pair: PAPair, mode: str) -> StabilityReport:
         fusion_certificate=None if not merged else _merge_partition(game, p.blocks, merged))
 
 
-def enumerate_stable_partitions(game: Game, mode: str,
-                                max_n: int = ENUMERATE_MAX_N) -> Iterator[Partition]:
+def enumerate_stable_partitions(game: Game, mode: str) -> Iterator[Partition]:
     """Every partition that supports a stable pair in the given mode, in
-    canonical order: blockwise core nonempty and worth dominating all
-    coarsenings."""
+    canonical order: worth dominating all coarsenings (the cheap 2^q scan,
+    checked first) and blockwise core nonempty."""
     _check_mode(mode)
-    if game.n > max_n:
-        raise CapExceeded(
-            f"refusing to scan Bell({game.n}) partitions (guard is n <= {max_n})")
-    parts = all_partitions(game.n) if game.n <= 8 else enumerate_partitions(game.n)
-    for p in parts:
-        if blockwise_core_nonempty(game, p, mode) and dominates_coarsenings(game, p):
+    if game.n > ENUMERATE_MAX_N:
+        raise CapExceeded(f"refusing to scan Bell({game.n}) partitions "
+                          f"(guard is n <= {ENUMERATE_MAX_N})")
+    for p in all_partitions(game.n):
+        if dominates_coarsenings(game, p) and blockwise_core_nonempty(game, p, mode):
             yield p

@@ -5,17 +5,19 @@ enumeration by element insertion, linear algebra by Gaussian elimination,
 optima by vertex enumeration. These are the slow-but-obvious routes the fast
 implementations are checked against. The exceptions are
 :func:`checked_stable_contains`, which compares against the library's direct
-refinement scan, the reference route for fission resistance, and
+refinement scan, the reference route for fission resistance;
 :func:`best_coarsening_pairwise`, which runs the library's structure table
-once per forced pair-merge.
+once per forced pair-merge; and :func:`weak_core_nonempty_unhit`, the
+library's earlier weak-core search, which branches on unhit partitions over
+the library's feasibility LP.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from coalstab import (Game, Partition, coalition_value, fission_resistant_direct, members,
-                      stable_contains)
-from coalstab.cores import subset_structure_table
+from coalstab import (Game, Partition, coalition_value, equal_surplus_allocation,
+                      fission_resistant_direct, medium_core_nonempty, members, stable_contains)
+from coalstab.cores import _feasible_with, _table_blocks, subset_structure_table
 
 
 # ---------------------------------------------------------------- counting
@@ -150,6 +152,51 @@ def weak_nonempty_oracle_n3(game: Game) -> bool:
                 continue
             return True
     return False
+
+
+# ------------------------------------------- weak-core search, unhit partitions
+
+def _unhit_partition(game: Game, required: frozenset) -> tuple[int, ...] | None:
+    """A non-grand partition with no block in ``required``, fewest blocks
+    first, canonical among those; None when every non-grand partition is hit."""
+    full = game.full
+    weights = [-1 if t in required or t == full else 0 for t in range(full + 1)]
+    val, _, first = subset_structure_table(weights, game.n)
+    return _table_blocks(first, full) if val[full] == 0 else None
+
+
+def weak_core_nonempty_unhit(game: Game) -> tuple[bool, tuple | None]:
+    """Reference for ``weak_core_nonempty``: a complete branch-and-prune that
+    ignores the LP witness. It grows a set of coalitions required to be
+    satisfied: a node is pruned when the requirement set is infeasible,
+    succeeds when it hits every non-grand partition, and otherwise branches
+    on the blocks of an unhit partition. Singleton requirements are free
+    (individual rationality implies them), so they seed the root."""
+    n = game.n
+    if medium_core_nonempty(game):
+        return True, equal_surplus_allocation(game, Partition.grand(n))
+    dead: set[frozenset] = set()
+
+    def search(required: frozenset) -> tuple | None:
+        if required in dead:
+            return None
+        witness = _feasible_with(game, required)
+        if witness is None:
+            dead.add(required)
+            return None
+        violating = _unhit_partition(game, required)
+        if violating is None:
+            return witness
+        for b in violating:
+            got = search(required | {b})
+            if got is not None:
+                return got
+        dead.add(required)
+        return None
+
+    root = frozenset(1 << i for i in range(n))
+    got = search(root)
+    return (got is not None), got
 
 
 # ------------------------------------------------- stability, cross-checked
@@ -324,6 +371,23 @@ def random_game(rng, n, lo=-10, hi=10) -> Game:
     for mask in range(1, size):
         table[mask] = rng.randint(lo, hi)
     return Game(n, table)
+
+
+def adversarial_game(rng, n) -> Game:
+    """The family of slow weak-core searches: randint(0,10)*|S|^2, with the
+    grand value reset to max//2 + randint(0,20)."""
+    table = [0] + [rng.randint(0, 10) * bin(m).count("1") ** 2 for m in range(1, 1 << n)]
+    table[-1] = max(table) // 2 + rng.randint(0, 20)
+    return Game(n, table)
+
+
+# Index 5 of adversarial_game(random.Random(7), 6): the unhit-partition weak
+# search needed 18,876 LP solves to find its weak core nonempty.
+ADVERSARIAL_6 = [
+    0, 2, 8, 32, 2, 0, 0, 90, 1, 32, 8, 54, 12, 27, 0, 64, 3, 16, 32, 27, 36, 45,
+    36, 128, 24, 18, 0, 80, 63, 160, 144, 200, 6, 32, 8, 72, 8, 72, 72, 0, 28, 18,
+    81, 0, 18, 32, 32, 175, 36, 9, 72, 0, 45, 160, 128, 200, 72, 112, 16, 200, 0,
+    75, 75, 101]
 
 
 def random_partition(rng, n) -> Partition:

@@ -9,10 +9,11 @@ from coalstab import (Game, InputError, LinearProgram, NoNonGrandPartition, Part
                       strong_core_nonempty, weak_core_contains, weak_core_nonempty,
                       worth)
 from coalstab import ratlp
-from coalstab.cores import _unhit_partition
-from helpers import (medium_member_partition_scan, partitions_by_insertion, random_game,
+from helpers import (ADVERSARIAL_6, _unhit_partition, adversarial_game,
+                     medium_member_partition_scan, partitions_by_insertion, random_game,
                      sample_efficient_allocations, strong_member_partition_scan,
-                     weak_member_partition_scan, weak_nonempty_oracle_n3)
+                     weak_core_nonempty_unhit, weak_member_partition_scan,
+                     weak_nonempty_oracle_n3)
 
 
 def test_strong_membership_examples(game_a, game_b):
@@ -302,6 +303,35 @@ def test_weak_nonempty_can_be_false():
     assert not ok and witness is None
     for x in sample_efficient_allocations(g, random.Random(0), count=6):
         assert not weak_core_contains(g, x).member
+
+
+def test_weak_nonempty_matches_unhit_reference():
+    rng = random.Random(14)
+    games = [random_game(rng, n) for n in (3, 4, 5) for _ in range(15)]
+    games += [adversarial_game(rng, 5) for _ in range(15)]
+    for g in games:
+        ok, witness = weak_core_nonempty(g)
+        assert ok == weak_core_nonempty_unhit(g)[0]
+        assert (witness is not None) == ok
+        if ok:
+            assert weak_core_contains(g, witness).member
+
+
+def test_weak_nonempty_adversarial_lp_budget(monkeypatch):
+    """The unhit-partition search took 18,876 LP solves on this game; the
+    witness-driven search takes a dozen."""
+    calls = []
+    solve = ratlp.lp_solve
+
+    def counted(lp):
+        calls.append(1)
+        assert len(calls) <= 20, "weak-core search exceeded 20 LP solves"
+        return solve(lp)
+
+    monkeypatch.setattr(ratlp, "lp_solve", counted)
+    g = Game(6, ADVERSARIAL_6)
+    ok, witness = weak_core_nonempty(g)
+    assert ok and weak_core_contains(g, witness).member
 
 
 def test_one_player_cores():

@@ -10,7 +10,7 @@ from coalstab import (Game, InfeasiblePair, PAPair, Partition, all_partitions,
                       fusion_resistant, fusion_neighborhood, strong_core_contains,
                       strong_core_nonempty, subgame, worth)
 from coalstab import cores, lattice, ratlp, stability
-from helpers import (checked_stable_contains, random_game, random_partition,
+from helpers import (ADVERSARIAL_6, checked_stable_contains, random_game, random_partition,
                      sample_feasible_allocations)
 
 MODES = ("strong", "medium", "weak")
@@ -277,6 +277,21 @@ def test_enumerate_stable_partitions_definition():
                 assert got == expected
 
 
+def test_enumerate_checks_cores_only_past_fusion(monkeypatch):
+    checked = []
+    core_check = stability.blockwise_core_nonempty
+
+    def recorded(game, p, mode):
+        checked.append(p)
+        return core_check(game, p, mode)
+
+    monkeypatch.setattr(stability, "blockwise_core_nonempty", recorded)
+    g = raised_grand_game(random.Random(15), 5)
+    for mode in MODES:
+        list(enumerate_stable_partitions(g, mode))
+    assert checked and all(dominates_coarsenings(g, p) for p in checked)
+
+
 def test_stable_set_matches_brute_force_over_pairs():
     rng = random.Random(12)
     for n in (2, 3):
@@ -342,18 +357,8 @@ def test_strong_enumerate_never_solves_the_covering_program(monkeypatch):
     assert found == expected and found
 
 
-# An adversarial 6-player game (index 5 from random.Random(7) with values
-# randint(0,10)*|S|**2, grand value max//2 + randint(0,20)): deciding its
-# weak-core nonemptiness takes thousands of LP solves, which the per-block
-# fission route never needs.
-ADVERSARIAL_6 = [
-    0, 2, 8, 32, 2, 0, 0, 90, 1, 32, 8, 54, 12, 27, 0, 64, 3, 16, 32, 27, 36, 45,
-    36, 128, 24, 18, 0, 80, 63, 160, 144, 200, 6, 32, 8, 72, 8, 72, 72, 0, 28, 18,
-    81, 0, 18, 32, 32, 175, 36, 9, 72, 0, 45, 160, 128, 200, 72, 112, 16, 200, 0,
-    75, 75, 101]
-
-
 def test_adversarial_weak_grand_pair(no_search):
+    # the per-block fission route decides the pair without a weak-core search
     g = Game(6, ADVERSARIAL_6)
     grand = Partition.grand(6)
     pr = PAPair(grand, equal_surplus_allocation(g, grand))
