@@ -7,11 +7,14 @@ partition contains at least one satisfied block.
 
 Exponential costs, by operation: membership scans cost 2^n (strong) or 3^n
 (weak deficiency table); the optimal-structure table costs 3^n once per game
-and is cached. Strong and weak nonemptiness are one witness search,
-:func:`_witness_search`, over exact n-variable :func:`_feasible_with` LPs: a
-witness outside the core branches on coalitions it leaves short, the most
-short one (strong, a 2^n scan per node) or each block of its deficient
-partition (weak, a 3^n table per node). Every 3^n table is
+and is cached, and the whole medium core reads it: nonemptiness compares
+its grand entry with v(N), a failed membership takes its argmax as the
+certificate, and the best non-grand worth is one 2^(n-1) scan of it.
+Strong and weak nonemptiness are one witness search, :func:`_witness_search`,
+over exact n-variable :func:`_feasible_with` LPs: a witness outside the core
+branches on coalitions it leaves short, the most short one (strong, a 2^n
+scan per node) or each block of its deficient partition (weak, a 3^n table
+per node). Every 3^n table is
 :func:`subset_structure_table` over some weights: the game's values, or 0/-1
 marks of the coalitions an allocation leaves deficient.
 """
@@ -23,7 +26,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, NoNonGrandPartition
 from .game import (Game, Partition, _check_allocation, equal_surplus_allocation,
-                   subgame)
+                   prefix_sums, subgame)
 from .io import _mask_from, _partition_from, mask_names, partition_names
 from .rational import Rational
 from . import ratlp
@@ -83,16 +86,6 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def prefix_sums(x: tuple, n: int) -> list:
-    """Allocation totals for every coalition mask."""
-    size = 1 << n
-    out = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        out[s] = out[s ^ low] + x[low.bit_length() - 1]
-    return out
-
-
 def _canonical_prefer(a: int, b: int) -> bool:
     """True when mask ``a`` precedes ``b``: the lowest differing player sits in ``a``."""
     d = a ^ b
@@ -103,8 +96,11 @@ def subset_structure_table(values: Sequence, nplayers: int):
     """Best partition worth per coalition mask for a dense value table.
 
     Returns (worth, block count, first block) per mask; the first-block
-    choices reconstruct the canonical argmax: maximal worth, then fewest
-    blocks, then canonical block order. Costs 3^n.
+    choices reconstruct the argmax: maximal worth, then fewest blocks, then
+    the first block (the one holding the mask's lowest player) that holds
+    the lowest player on which two candidate first blocks differ, the same
+    rule settling the rest of the mask. That is not
+    :meth:`Partition.sort_key` order. Costs 3^n.
     """
     full = (1 << nplayers) - 1
     val = [0] * (full + 1)
@@ -163,46 +159,25 @@ def _structure_blocks(game: Game, s: int) -> tuple[int, ...]:
 
 
 def optimal_structure_value(game: Game) -> tuple[Rational, Partition]:
-    """Maximum total worth over all partitions, with a canonical argmax.
+    """Maximum total worth over all partitions, with the table's argmax.
 
-    Ties go to fewer blocks, then canonical partition order.
+    Ties go to fewer blocks, then to the first block that holds the lowest
+    player on which two candidates' first blocks differ, recursively on the
+    players left (see :func:`subset_structure_table`).
     """
     val, _, _ = _structure_table(game)
     return val[game.full], Partition._unchecked(game.n, _structure_blocks(game, game.full))
 
 
-def _max_nongrand(game: Game) -> tuple[Rational, Partition]:
+def max_nongrand_worth(game: Game) -> Rational:
+    """Best total worth over every partition other than the grand one: some
+    block holds player 0 without being everything, and the rest of each side
+    is best split as the table says."""
     if game.n < 2:
         raise NoNonGrandPartition("a one-player game has no non-grand partition")
-    val, nblocks, _ = _structure_table(game)
+    val, _, _ = _structure_table(game)
     full = game.full
-    best = None
-    cands = []
-    for t in range(1, full, 2):  # masks containing player 0, excluding the full set
-        cand = val[t] + val[full ^ t]
-        if best is None or cand > best:
-            best = cand
-            cands = [t]
-        elif cand == best:
-            cands.append(t)
-    pick = None
-    pick_key = None
-    for t in cands:
-        nb = nblocks[t] + nblocks[full ^ t]
-        if pick_key is not None and nb > pick_key[0]:
-            continue
-        blocks = tuple(sorted(_structure_blocks(game, t) + _structure_blocks(game, full ^ t),
-                              key=lambda b: b & -b))
-        part = Partition._unchecked(game.n, blocks)
-        key = part.sort_key()
-        if pick_key is None or key < pick_key:
-            pick, pick_key = part, key
-    return best, pick
-
-
-def max_nongrand_worth(game: Game) -> Rational:
-    """Best total worth over every partition other than the grand one."""
-    return _max_nongrand(game)[0]
+    return max(val[t] + val[full ^ t] for t in range(1, full, 2))
 
 
 def strong_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
@@ -241,19 +216,17 @@ def strong_core_nonempty(game: Game) -> tuple[bool, tuple | None]:
 
 def medium_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
     """Medium-core membership: efficient, and the grand value weakly dominates
-    every other partition's worth."""
+    every other partition's worth. When it does not, the structure table's
+    argmax is a non-grand partition of maximal worth, the certificate."""
     xs = _check_allocation(game, x)
     vals = game._values
     if any(xs[i] < vals[1 << i] for i in range(game.n)):
         return CoreReport(MEDIUM, False, reason="allocation is not individually rational")
     if sum(xs) != vals[game.full]:
         return CoreReport(MEDIUM, False, reason="allocation is not efficient")
-    if game.n == 1:
+    if medium_core_nonempty(game):
         return CoreReport(MEDIUM, True)
-    threshold, argmax = _max_nongrand(game)
-    if vals[game.full] >= threshold:
-        return CoreReport(MEDIUM, True)
-    return CoreReport(MEDIUM, False, partition=argmax)
+    return CoreReport(MEDIUM, False, partition=optimal_structure_value(game)[1])
 
 
 def medium_core_nonempty(game: Game) -> bool:

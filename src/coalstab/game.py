@@ -8,6 +8,10 @@ is required.
 All types are immutable after construction (internal memo tables aside) and
 every operation here is a pure function of its inputs, so concurrent use on
 shared instances is safe.
+
+:func:`prefix_sums` is the one subset-sum table: coalition totals of an
+allocation, and unions of disjoint masks (a subgame's players, a group of
+blocks).
 """
 
 from __future__ import annotations
@@ -40,6 +44,18 @@ def members(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def prefix_sums(x: Sequence, n: int) -> list:
+    """Subset-sum table: ``x[i]`` summed over the bits of every mask below
+    ``2^n``. Over an allocation it gives coalition totals; over disjoint
+    masks the sum is their union."""
+    size = 1 << n
+    out = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        out[s] = out[s ^ low] + x[low.bit_length() - 1]
+    return out
 
 
 class Game:
@@ -237,18 +253,9 @@ def subgame(game: Game, c: int) -> tuple[Game, tuple[int, ...]]:
     if cached is not None:
         return cached
     players = members(c)
-    k = len(players)
-    bitvals = [1 << p for p in players]
-    size = 1 << k
     vals = game._values
-    table = [0] * size
-    orig = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        orig[s] = orig[s ^ low] | bitvals[low.bit_length() - 1]
-        table[s] = vals[orig[s]]
-    sub = Game._from_table(k, table)
-    out = (sub, players)
+    table = [vals[m] for m in prefix_sums([1 << p for p in players], len(players))]
+    out = (Game._from_table(len(players), table), players)
     game._memo[("sub", c)] = out
     return out
 

@@ -4,15 +4,21 @@ neighborhoods, one-step moves, and the layered coalition-structure graph.
 Counts to keep in mind: there are Bell(n) partitions overall, so anything
 that enumerates them is exponential-plus. Neighborhood functions therefore
 yield lazily; pass ``materialize=True`` to get a tuple instead.
+
+Every set-partition walk here is :func:`_partitions_of_mask`, one
+growth-string generator: over the players for the canonical enumeration,
+over a block's members for refinements, and over block indices for
+coarsenings, whose block unions come from one subset-sum table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice, product
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InputError
-from .game import DEFAULT_PLAYER_CAP, Partition, members
+from .game import DEFAULT_PLAYER_CAP, Partition, members, prefix_sums
 
 GRAPH_EXPORT_MAX_N = 6
 _PARTITION_CACHE_MAX_N = 8
@@ -50,53 +56,36 @@ def _sorted_blocks(blocks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(blocks, key=lambda b: b & -b))
 
 
-def _partitions_of_mask(mask: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of the set bits of ``mask`` as tuples of block masks.
-
-    Blocks come out sorted by lowest bit; the first partition yielded is
-    always ``(mask,)`` itself.
-    """
-    if mask == 0:
-        yield ()
+def _grow(bits: list[int], blocks: list[int], i: int, p: int) -> Iterator[tuple[int, ...]]:
+    """Place ``bits[i:]`` into exactly ``p`` blocks, extending ``blocks`` in
+    lexicographic growth-string order."""
+    opened = len(blocks)
+    if len(bits) - i == p - opened:  # each player left opens a block
+        yield tuple(blocks) + tuple(bits[i:])
         return
-    low = mask & -mask
-    rest = mask ^ low
-    sub = rest
-    while True:
-        first = low | sub
-        for tail in _partitions_of_mask(mask ^ first):
-            yield (first,) + tail
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
+    bit = bits[i]
+    for k in range(opened):
+        blocks[k] |= bit
+        yield from _grow(bits, blocks, i + 1, p)
+        blocks[k] ^= bit
+    if opened < p:
+        blocks.append(bit)
+        yield from _grow(bits, blocks, i + 1, p)
+        blocks.pop()
 
 
-def _partitions_with_block_count(n: int, p: int) -> Iterator[tuple[int, ...]]:
-    """Partitions of ``n`` players into exactly ``p`` blocks, in lexicographic
-    growth-string order."""
-    blocks = [0] * p
+def _partitions_of_mask(mask: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of the set bits of ``mask`` as tuples of block masks,
+    blocks sorted by lowest bit.
 
-    def rec(i: int, used: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(blocks)
-            return
-        remaining = n - i
-        if remaining - 1 >= p - used:
-            for v in range(used):
-                blocks[v] |= 1 << i
-                yield from rec(i + 1, used)
-                blocks[v] ^= 1 << i
-        if used < p:
-            blocks[used] |= 1 << i
-            yield from rec(i + 1, used + 1)
-            blocks[used] ^= 1 << i
-
-    yield from rec(0, 0)
-
-
-def _iter_raw_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    for p in range(1, n + 1):
-        yield from _partitions_with_block_count(n, p)
+    This is the one set-partition generator: restricted growth strings over
+    the mask's members (Knuth, TAOCP 4A, 7.2.1.5), grouped by block count
+    ascending and in lexicographic growth-string order within each group, so
+    ``(mask,)`` comes first and the all-singleton partition last.
+    """
+    bits = [1 << i for i in members(mask)]
+    for p in range(1, len(bits) + 1):
+        yield from _grow(bits, [], 0, p)
 
 
 _partition_cache: dict[int, tuple[Partition, ...]] = {}
@@ -110,25 +99,23 @@ def all_partitions(n: int) -> tuple[Partition, ...]:
             f"(supported up to n={_PARTITION_CACHE_MAX_N}); use enumerate_partitions")
     got = _partition_cache.get(n)
     if got is None:
-        got = tuple(Partition._unchecked(n, bl) for bl in _iter_raw_partitions(n))
+        got = tuple(Partition._unchecked(n, bl) for bl in _partitions_of_mask((1 << n) - 1))
         _partition_cache[n] = got
     return got
 
 
-def enumerate_partitions(n: int, cap: int = DEFAULT_PLAYER_CAP) -> Iterator[Partition]:
-    """Yield every partition of ``n`` players exactly once.
+def enumerate_partitions(n: int) -> Iterator[Partition]:
+    """Yield every partition of ``n`` players exactly once, lazily.
 
     Grouped by block count ascending, canonical order within each group;
-    Bell(n) partitions in total.
+    Bell(n) partitions in total, refused above ``DEFAULT_PLAYER_CAP``.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError(f"player count must be a positive int, got {n!r}")
-    if n > cap:
-        raise CapExceeded(f"refusing to enumerate Bell({n}) partitions (cap {cap})")
-    if n <= _PARTITION_CACHE_MAX_N:
-        yield from all_partitions(n)
-        return
-    for bl in _iter_raw_partitions(n):
+    if n > DEFAULT_PLAYER_CAP:
+        raise CapExceeded(
+            f"refusing to enumerate Bell({n}) partitions (cap {DEFAULT_PLAYER_CAP})")
+    for bl in _partitions_of_mask((1 << n) - 1):
         yield Partition._unchecked(n, bl)
 
 
@@ -155,18 +142,12 @@ def is_refinement(p: Partition, q: Partition) -> bool:
 
 
 def _iter_refinements_raw(blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Strict refinements of a block tuple, as unsorted block tuples."""
+    """Strict refinements of a block tuple, as unsorted block tuples: one
+    partition per block, every combination but the first, which alone keeps
+    each block whole."""
     per_block = [tuple(_partitions_of_mask(b)) for b in blocks]
-
-    def rec(k: int, prefix: tuple[int, ...], trivial: bool) -> Iterator[tuple[int, ...]]:
-        if k == len(per_block):
-            if not trivial:
-                yield prefix
-            return
-        for sub in per_block[k]:
-            yield from rec(k + 1, prefix + sub, trivial and len(sub) == 1)
-
-    yield from rec(0, (), True)
+    return (tuple(chain.from_iterable(parts))
+            for parts in islice(product(*per_block), 1, None))
 
 
 def fission_neighborhood(p: Partition, materialize: bool = False):
@@ -179,19 +160,9 @@ def fission_neighborhood(p: Partition, materialize: bool = False):
 def _iter_coarsenings_raw(blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Strict coarsenings of a block tuple: group the blocks, union each group."""
     q = len(blocks)
-    for grouping in _partitions_of_mask((1 << q) - 1):
-        if len(grouping) == q:
-            continue
-        out = []
-        for group in grouping:
-            u = 0
-            g = group
-            while g:
-                low = g & -g
-                u |= blocks[low.bit_length() - 1]
-                g ^= low
-            out.append(u)
-        yield tuple(out)
+    unions = prefix_sums(blocks, q)
+    return (tuple(unions[g] for g in grouping)
+            for grouping in _partitions_of_mask((1 << q) - 1) if len(grouping) < q)
 
 
 def fusion_neighborhood(p: Partition, materialize: bool = False):
@@ -289,14 +260,14 @@ def _node_name(p: Partition) -> str:
     return f"P{len(p.blocks)}_{body}"
 
 
-def export_graph(n: int, max_n: int = GRAPH_EXPORT_MAX_N) -> str:
+def export_graph(n: int) -> str:
     """DOT digraph of the coalition-structure graph: one node per partition,
     one arc per one-step fission and per one-step fusion."""
     if not isinstance(n, int) or n < 1:
         raise InputError(f"player count must be a positive int, got {n!r}")
-    if n > max_n:
-        raise CapExceeded(
-            f"refusing to export a graph with Bell({n}) nodes (guard is n <= {max_n})")
+    if n > GRAPH_EXPORT_MAX_N:
+        raise CapExceeded(f"refusing to export a graph with Bell({n}) nodes "
+                          f"(guard is n <= {GRAPH_EXPORT_MAX_N})")
     parts = all_partitions(n)
     by_count: dict[int, list[Partition]] = {}
     for p in parts:

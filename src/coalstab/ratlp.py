@@ -310,14 +310,14 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     return LpOutcome("optimal", value, tuple(xs))
 
 
-def balancedness_value(game: Game, max_n: int = BALANCE_LP_MAX_N) -> Rational:
+def balancedness_value(game: Game) -> Rational:
     """Optimum of the fractional covering program: one weight per coalition,
     each player covered with total weight exactly 1, value-weighted sum
     maximized. The grand value meets or beats it exactly when the strong
     core is nonempty."""
-    if game.n > max_n:
-        raise CapExceeded(
-            f"covering LP needs 2^{game.n}-1 variables; guard is n <= {max_n}")
+    if game.n > BALANCE_LP_MAX_N:
+        raise CapExceeded(f"covering LP needs 2^{game.n}-1 variables; "
+                          f"guard is n <= {BALANCE_LP_MAX_N}")
     full = game.full
     vals = game._values
     objective = [vals[mask] for mask in range(1, full + 1)]

@@ -21,7 +21,8 @@ from typing import Sequence
 from .cores import (_structure_blocks, _structure_table, _table_blocks,
                     subset_structure_table)
 from .errors import NoCoarsening
-from .game import Game, PAPair, Partition, _check_partition, equal_surplus_allocation
+from .game import (Game, PAPair, Partition, _check_partition, equal_surplus_allocation,
+                   prefix_sums)
 from .io import _partition_from, partition_names
 from .lattice import _sorted_blocks
 from .rational import Rational, format_rational, parse_rational
@@ -110,12 +111,8 @@ def best_coarsening(game: Game, p: Partition) -> tuple[Rational, Partition]:
         raise NoCoarsening("the grand-coalition partition has no coarsening")
     vals = game._values
     full = (1 << q) - 1
-    union = [0] * (full + 1)
-    qvals = [0] * (full + 1)
-    for m in range(1, full + 1):
-        low = m & -m
-        union[m] = union[m ^ low] | blocks[low.bit_length() - 1]
-        qvals[m] = vals[union[m]]
+    union = prefix_sums(blocks, q)
+    qvals = [vals[u] for u in union]
     val, nblocks, first = subset_structure_table(qvals, q)
     keys = {b: (qvals[b] + val[full ^ b], -nblocks[full ^ b])
             for b in range(3, full + 1) if b & (b - 1)}

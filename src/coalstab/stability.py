@@ -22,10 +22,10 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .cores import (MEDIUM, STRONG, CoreReport, _blockwise_core_nonempty_cached,
-                    _check_mode, _structure_table, core_contains, prefix_sums)
+                    _check_mode, _structure_table, core_contains)
 from .errors import CapExceeded, InfeasiblePair
 from .game import (Game, PAPair, Partition, _check_allocation, _check_partition,
-                   is_partition_allocation, members, subgame)
+                   is_partition_allocation, members, prefix_sums, subgame)
 from .io import _partition_from, partition_names
 from .lattice import _bell, _iter_refinements_raw, _sorted_blocks, all_partitions
 from .rational import Rational
@@ -163,7 +163,8 @@ def fission_resistant_decomposed(game: Game, pair: PAPair, mode: str) -> bool:
 def _fusion_scan(game: Game, blocks: tuple[int, ...]) -> tuple[bool, int]:
     """Check every union of two or more blocks against the sum of its parts.
 
-    Returns (ok, violating block-index mask); property of the partition only.
+    Returns (ok, the first union worth more than its parts, else 0); a
+    property of the partition only.
     """
     q = len(blocks)
     if q < 2:
@@ -179,19 +180,8 @@ def _fusion_scan(game: Game, blocks: tuple[int, ...]) -> tuple[bool, int]:
         union[m] = union[rest] | b
         total[m] = total[rest] + vals[b]
         if rest and total[m] < vals[union[m]]:
-            return False, m
+            return False, union[m]
     return True, 0
-
-
-def _merge_partition(game: Game, blocks: tuple[int, ...], merged_indices: int) -> Partition:
-    keep = [b for k, b in enumerate(blocks) if not merged_indices >> k & 1]
-    u = 0
-    m = merged_indices
-    while m:
-        low = m & -m
-        u |= blocks[low.bit_length() - 1]
-        m ^= low
-    return Partition._unchecked(game.n, _sorted_blocks(keep + [u]))
 
 
 def fusion_resistant(game: Game, pair: PAPair) -> bool:
@@ -248,7 +238,8 @@ def stable_contains(game: Game, pair: PAPair, mode: str) -> StabilityReport:
         fission_resistant=outside is None, fusion_resistant=fusion,
         fission_certificate=None if outside is None else _defeating_refinement(
             game, p.blocks, *outside),
-        fusion_certificate=None if not merged else _merge_partition(game, p.blocks, merged))
+        fusion_certificate=None if not merged else Partition._unchecked(
+            game.n, _sorted_blocks([b for b in p.blocks if not b & merged] + [merged])))
 
 
 def enumerate_stable_partitions(game: Game, mode: str) -> Iterator[Partition]:

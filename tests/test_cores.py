@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -139,6 +140,19 @@ def test_medium_membership_examples(game_a, game_b):
     assert report.partition == Partition(3, [0b101, 0b010])
     report = medium_core_contains(game_b, (1, 1, 6))
     assert not report.member and report.reason is not None
+
+
+def test_medium_certificate_follows_the_structure_table_tie_rule():
+    # worth 5 is reached by 0,3|1|2,4 and by 0|1,2|3,4, both with three
+    # blocks; the table takes the first block holding player 3, the lowest
+    # player on which the two first blocks differ
+    values = [0, 0, 0, 0, 0, 2, 0, 0, 2, 1, 0, 1, 0, 1, 3, 0,
+              2, 0, 2, 3, 3, 0, 0, 3, 0, 1, 1, 3, 3, 2, 3]
+    g = Game(5, [0] + values)
+    best = Partition.from_sets(5, [[0, 3], [1], [2, 4]])
+    assert optimal_structure_value(g) == (5, best)
+    report = medium_core_contains(g, (Fraction(3, 5),) * 5)
+    assert not report.member and report.partition == best
 
 
 def test_medium_membership_equals_partition_sum_scan():

@@ -2,8 +2,8 @@ import pytest
 
 from coalstab import (CapExceeded, Partition, all_partitions, enumerate_partitions,
                       export_graph, fission_neighborhood, fusion_neighborhood,
-                      is_refinement, meet, one_step_fission, one_step_fusion, path)
-from coalstab.lattice import FISSION, FUSION
+                      is_refinement, meet, members, one_step_fission, one_step_fusion, path)
+from coalstab.lattice import FISSION, FUSION, _partitions_of_mask
 from helpers import bell_numbers, partitions_by_insertion, refines_oracle
 
 BELL = bell_numbers(10)
@@ -42,6 +42,21 @@ def test_enumeration_cap():
         next(enumerate_partitions(15))
 
 
+def test_partitions_of_sparse_masks():
+    for mask in (0b101101, 0b1110010, 0b1000, 0b11000000101):
+        players = members(mask)
+        got = list(_partitions_of_mask(mask))
+        assert got[0] == (mask,)
+        assert len(got) == BELL[len(players)] and len(set(got)) == len(got)
+        for blocks in got:
+            assert sum(blocks) == mask and all(b & mask == b for b in blocks)
+            assert list(blocks) == sorted(blocks, key=lambda b: b & -b)
+        # block count, then growth string over the mask's members
+        keys = [(len(bl), tuple(next(k for k, b in enumerate(bl) if b >> i & 1)
+                                for i in players)) for bl in got]
+        assert keys == sorted(keys)
+
+
 def test_is_refinement_examples():
     assert is_refinement(P(3, [0], [1], [2]), P(3, [0, 1], [2]))
     p = P(3, [0, 1], [2])
@@ -61,8 +76,10 @@ def test_neighborhoods_against_filter_of_all_partitions():
     for n in range(1, 6):
         parts = all_partitions(n)
         for p in parts:
-            fission = {q.blocks for q in fission_neighborhood(p)}
-            fusion = {q.blocks for q in fusion_neighborhood(p)}
+            fission_list = [q.blocks for q in fission_neighborhood(p)]
+            fusion_list = [q.blocks for q in fusion_neighborhood(p)]
+            fission, fusion = set(fission_list), set(fusion_list)
+            assert len(fission) == len(fission_list) and len(fusion) == len(fusion_list)
             assert fission == {q.blocks for q in parts if refines_oracle(q.blocks, p.blocks)}
             assert fusion == {q.blocks for q in parts if refines_oracle(p.blocks, q.blocks)}
 
