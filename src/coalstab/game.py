@@ -244,11 +244,13 @@ def subgame(game: Game, c: int) -> tuple[Game, tuple[int, ...]]:
 
     Players are reindexed by ascending original index; returns the
     restricted game together with the tuple mapping new index -> original
-    player.
+    player. The grand coalition gives back the game itself, caches and all.
     """
     _check_coalition(game, c)
     if c == 0:
         raise InputError("cannot restrict a game to the empty coalition")
+    if c == game.full:
+        return game, tuple(range(game.n))
     cached = game._memo.get(("sub", c))
     if cached is not None:
         return cached

@@ -10,7 +10,9 @@ Neither neighborhood is materialized: the refinement side decomposes block
 by block through the optimal-structure table, and the coarsening side runs
 the same table once on the quotient game whose players are the current
 blocks, then picks the best block of two or more quotient players to merge
-next to the optimal structure of the rest.
+next to the optimal structure of the rest. From all singletons the quotient
+game is the game itself, so its cached table is reused and a cold ascent
+builds one 3^n table.
 """
 
 from __future__ import annotations
@@ -102,7 +104,9 @@ def best_coarsening(game: Game, p: Partition) -> tuple[Rational, Partition]:
     coarsening has a block B of at least two quotient players, and the best
     one containing B is B plus the optimal structure of the other quotient
     players. So one structure table on the quotient game (3^q cells) and a
-    scan over every such B (2^q masks) cover the whole neighborhood.
+    scan over every such B (2^q masks) cover the whole neighborhood. From
+    all singletons the quotient game is the game itself, so the game's
+    cached table is read.
     """
     _check_partition(game, p)
     blocks = p.blocks
@@ -113,7 +117,9 @@ def best_coarsening(game: Game, p: Partition) -> tuple[Rational, Partition]:
     full = (1 << q) - 1
     union = prefix_sums(blocks, q)
     qvals = [vals[u] for u in union]
-    val, nblocks, first = subset_structure_table(qvals, q)
+    # All singletons (the only q == n partition): the quotient is the game.
+    val, nblocks, first = (_structure_table(game) if q == game.n
+                           else subset_structure_table(qvals, q))
     keys = {b: (qvals[b] + val[full ^ b], -nblocks[full ^ b])
             for b in range(3, full + 1) if b & (b - 1)}
     top = max(keys.values())

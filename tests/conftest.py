@@ -1,13 +1,29 @@
 import pathlib
 import sys
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from coalstab import Game
 
 GAMES_DIR = pathlib.Path(__file__).parent.parent / "games"
+
+# Fixed example order, no example database on disk, no per-example deadline:
+# property tests replay the same cases on every run.
+settings.register_profile("coalstab", derandomize=True, database=None, deadline=None)
+settings.load_profile("coalstab")
+
+
+def pytest_configure(config):
+    # Hypothesis also caches parsed source constants on disk; keep them in a
+    # directory removed when the test run ends, not in the checkout.
+    home = tempfile.TemporaryDirectory(prefix="coalstab-hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 @pytest.fixture

@@ -5,7 +5,7 @@ import pytest
 from coalstab import (Game, NoCoarsening, Partition, all_partitions, best_coarsening,
                       best_refinement, enumerate_stable_partitions, fission_neighborhood,
                       fusion_neighborhood, is_partition_allocation, sam_run, sam_step,
-                      worth)
+                      stable_contains, subgame, worth)
 from helpers import (best_coarsening_pairwise, checked_stable_contains, random_game,
                      random_partition)
 
@@ -173,3 +173,52 @@ def test_one_player_run():
     trace = sam_run(g)
     assert trace.steps == () and trace.terminal == Partition.grand(1)
     assert trace.terminal_pair.allocation == (3,)
+
+
+def _count_tables(monkeypatch) -> list[int]:
+    """Record the player count of every structure table built, through
+    either module that calls the kernel."""
+    from coalstab import cores, sam
+
+    built = []
+    real = cores.subset_structure_table
+
+    def counted(values, nplayers):
+        built.append(nplayers)
+        return real(values, nplayers)
+
+    for module in (cores, sam):
+        monkeypatch.setattr(module, "subset_structure_table", counted)
+    return built
+
+
+def test_cold_ascent_builds_one_full_table(monkeypatch):
+    # from all singletons the quotient game is the game itself, so the
+    # coarsening side reads the table the refinement side cached
+    built = _count_tables(monkeypatch)
+    singletons = Partition.singletons(8)
+    trace = sam_run(random_game(random.Random(3), 8))
+    assert trace.start == singletons and trace.steps
+    assert built.count(8) == 1
+    g = random_game(random.Random(4), 8)
+    best_refinement(g, singletons)
+    built.clear()
+    best_coarsening(g, singletons)
+    assert built == []
+
+
+def test_grand_terminal_check_builds_no_table(monkeypatch):
+    # the README flow: a grand pair's one block is the game itself, so its
+    # medium core reads the table the ascent cached, not a copy's
+    built = _count_tables(monkeypatch)
+    rng = random.Random(1)
+    weights = [rng.randint(1, 5) for _ in range(8)]
+    g = Game(8, [sum(w for i, w in enumerate(weights) if m >> i & 1) ** 2
+                 for m in range(1 << 8)])  # supermodular, so the ascent ends grand
+    trace = sam_run(g)
+    assert trace.terminal == Partition.grand(8)
+    built.clear()
+    assert stable_contains(g, trace.terminal_pair, "medium").stable
+    assert built == []
+    assert subgame(g, g.full) == (g, tuple(range(8)))
+    assert ("sub", g.full) not in g._memo
