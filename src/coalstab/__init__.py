@@ -23,8 +23,7 @@ from .cores import (MEDIUM, MODES, STRONG, WEAK, CoreReport, core_contains,
                     weak_core_contains, weak_core_nonempty)
 from .stability import (StabilityReport, blockwise_core_contains, blockwise_core_nonempty,
                         dominates_coarsenings, enumerate_stable_partitions,
-                        fission_resistant_decomposed, fission_resistant_direct,
-                        fusion_resistant, stable_contains)
+                        fission_resistant_decomposed, fusion_resistant, stable_contains)
 from .sam import SamStep, SamTrace, best_coarsening, best_refinement, sam_run, sam_step
 from .io import GameFile, load_game, parse_allocation, parse_game_json, parse_partition
 
@@ -45,7 +44,7 @@ __all__ = [
     "weak_core_contains", "weak_core_nonempty",
     "StabilityReport", "blockwise_core_contains", "blockwise_core_nonempty",
     "dominates_coarsenings", "enumerate_stable_partitions",
-    "fission_resistant_decomposed", "fission_resistant_direct", "fusion_resistant",
+    "fission_resistant_decomposed", "fusion_resistant",
     "stable_contains",
     "SamStep", "SamTrace", "best_coarsening", "best_refinement", "sam_run", "sam_step",
     "GameFile", "load_game", "parse_allocation", "parse_game_json", "parse_partition",

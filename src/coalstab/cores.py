@@ -12,11 +12,11 @@ its grand entry with v(N), a failed membership takes its argmax as the
 certificate, and the best non-grand worth is one 2^(n-1) scan of it.
 Strong and weak nonemptiness are one witness search, :func:`_witness_search`,
 over exact n-variable :func:`_feasible_with` LPs: a witness outside the core
-branches on coalitions it leaves short, the most short one (strong, a 2^n
-scan per node) or each block of its deficient partition (weak, a 3^n table
-per node). Every 3^n table is
-:func:`subset_structure_table` over some weights: the game's values, or 0/-1
-marks of the coalitions an allocation leaves deficient.
+branches on coalitions it leaves short, the most short one (strong, the
+2^n scan :func:`ratlp.balancedness_value` also generates its rows with) or
+each block of its deficient partition (weak, a 3^n table per node). Every
+3^n table is :func:`subset_structure_table` over some weights: the game's
+values, or 0/-1 marks of the coalitions an allocation leaves deficient.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, NoNonGrandPartition
-from .game import (Game, Partition, _check_allocation, equal_surplus_allocation,
-                   prefix_sums, subgame)
+from .game import (Game, Partition, _check_allocation, _most_short,
+                   equal_surplus_allocation, prefix_sums, subgame)
 from .io import _mask_from, _partition_from, mask_names, partition_names
 from .rational import Rational
 from . import ratlp
@@ -203,14 +203,7 @@ def strong_core_nonempty(game: Game) -> tuple[bool, tuple | None]:
     Each node has one child, so the search is a loop that adds that row and
     solves again, until no coalition falls short (the witness is a member)
     or the rows so far are infeasible (so is the whole system)."""
-    vals = game._values
-
-    def most_short(w: tuple) -> tuple[int, ...]:
-        sums = prefix_sums(w, game.n)
-        worst = max(range(1, game.full), key=lambda c: vals[c] - sums[c], default=0)
-        return (worst,) if worst and sums[worst] < vals[worst] else ()
-
-    w = _witness_search(game, most_short)
+    w = _witness_search(game, lambda w: _most_short(game._values, w, game.n))
     return w is not None, w
 
 

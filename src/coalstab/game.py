@@ -11,13 +11,16 @@ shared instances is safe.
 
 :func:`prefix_sums` is the one subset-sum table: coalition totals of an
 allocation, and unions of disjoint masks (a subgame's players, a group of
-blocks).
+blocks). :func:`_most_short` scans those totals for the coalition an
+allocation leaves most short, the row both strong-core row generation and
+the balancedness program add next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, EmptyBlockAllocation, InputError
@@ -56,6 +59,15 @@ def prefix_sums(x: Sequence, n: int) -> list:
         low = s & -s
         out[s] = out[s ^ low] + x[low.bit_length() - 1]
     return out
+
+
+def _most_short(values: Sequence, x: Sequence, n: int) -> tuple[int, ...]:
+    """The coalition the allocation ``x`` leaves most short, as a one-tuple:
+    largest v(S) - x(S) over every nonempty mask, the lowest mask on ties;
+    empty when none falls short."""
+    gaps = list(map(sub, values, prefix_sums(x, n)))
+    worst = max(gaps)
+    return (gaps.index(worst),) if worst > 0 else ()
 
 
 class Game:

@@ -41,17 +41,6 @@ class PartitionMove:
     touched: tuple[int, ...]
 
 
-def _bell(n: int) -> int:
-    """Bell(n), the number of partitions of an n-set, by the Bell triangle."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for a in row:
-            nxt.append(nxt[-1] + a)
-        row = nxt
-    return row[0]
-
-
 def _sorted_blocks(blocks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(blocks, key=lambda b: b & -b))
 

@@ -5,9 +5,14 @@ A small dense two-phase simplex with Bland's anticycling rule. Everything is
 identically zero residual, so callers can compare optima against game values
 with plain ``==`` and ``>=``.
 
-Constraint rows are put into a canonical order before solving, which makes
-the outcome (including the witness) independent of the order callers listed
-them in.
+Each variable takes an optional lower bound; a variable without one is
+free. Constraint rows are put into a canonical order before solving, which
+makes the outcome (including the witness) independent of the order callers
+listed them in.
+
+Every program the library solves has one variable per player: the core
+feasibility systems, and :func:`balancedness_value`, which generates the
+rows of the covering program's dual as it goes.
 """
 
 from __future__ import annotations
@@ -16,16 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CapExceeded, InputError
-from .game import Game
-from .rational import Rational, exact, format_rational
+from .errors import InputError
+from .game import Game, _most_short
+from .rational import Rational, exact
 
 LE = "<="
 EQ = "="
 GE = ">="
 _RELATIONS = (LE, EQ, GE)
-
-BALANCE_LP_MAX_N = 12  # the covering LP has 2^n - 1 variables
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -45,16 +48,16 @@ class LpOutcome:
 
 
 class LinearProgram:
-    """Variables ``x_0..x_{m-1}``, optional per-variable bounds, and rows
-    ``coeffs . x (<=|=|>=) rhs``. ``sense`` is max, min, or feasibility."""
+    """Variables ``x_0..x_{m-1}``, optional per-variable lower bounds (a
+    variable without one is free), and rows ``coeffs . x (<=|=|>=) rhs``.
+    ``sense`` is max, min, or feasibility."""
 
-    __slots__ = ("num_vars", "sense", "objective", "constraints", "lower", "upper")
+    __slots__ = ("num_vars", "sense", "objective", "constraints", "lower")
 
     def __init__(self, num_vars: int, sense: str = "feasibility",
                  objective: Sequence[Rational] | None = None,
                  constraints: Sequence[tuple] = (),
-                 lower: Sequence[Rational | None] | None = None,
-                 upper: Sequence[Rational | None] | None = None):
+                 lower: Sequence[Rational | None] | None = None):
         if not isinstance(num_vars, int) or num_vars < 1:
             raise InputError(f"variable count must be a positive int, got {num_vars!r}")
         if sense not in ("max", "min", "feasibility"):
@@ -75,48 +78,17 @@ class LinearProgram:
             if rel not in _RELATIONS:
                 raise InputError(f"unknown relation {rel!r}")
             rows.append((row, rel, exact(rhs)))
+        if lower is None:
+            lower = (None,) * num_vars
+        else:
+            lower = tuple(None if b is None else exact(b) for b in lower)
+            if len(lower) != num_vars:
+                raise InputError("bounds length does not match variable count")
         self.num_vars = num_vars
         self.sense = sense
         self.objective = objective
         self.constraints = tuple(rows)
-        self.lower = _bounds(num_vars, lower)
-        self.upper = _bounds(num_vars, upper)
-
-    def debug_format(self) -> str:
-        """Plain-text dump, one constraint per line."""
-        lines = []
-        if self.sense == "feasibility":
-            lines.append("feasibility")
-        else:
-            lines.append(f"{self.sense} {_linear_text(self.objective)}")
-        for coeffs, rel, rhs in self.constraints:
-            lines.append(f"  {_linear_text(coeffs)} {rel} {format_rational(rhs)}")
-        for j in range(self.num_vars):
-            lo, hi = self.lower[j], self.upper[j]
-            if lo is None and hi is None:
-                continue
-            left = format_rational(lo) + " <= " if lo is not None else ""
-            right = " <= " + format_rational(hi) if hi is not None else ""
-            lines.append(f"  {left}x{j}{right}")
-        return "\n".join(lines) + "\n"
-
-
-def _bounds(num_vars, seq):
-    if seq is None:
-        return (None,) * num_vars
-    out = tuple(None if b is None else exact(b) for b in seq)
-    if len(out) != num_vars:
-        raise InputError("bounds length does not match variable count")
-    return out
-
-
-def _linear_text(coeffs) -> str:
-    terms = []
-    for j, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        terms.append(f"{format_rational(c)}*x{j}")
-    return " + ".join(terms) if terms else "0"
+        self.lower = lower
 
 
 def _row_key(row):
@@ -173,30 +145,15 @@ def _simplex(tableau, basic, cost):
 
 def lp_solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; every outcome is encoded in the status, never raised."""
-    for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo is not None and hi is not None and lo > hi:
-            return LpOutcome("infeasible", None, None)
-
     rows = sorted(lp.constraints, key=_row_key)
 
-    # substitute bounded and free variables so every column is nonnegative
+    # shift lower-bounded variables to zero and split free ones in two, so
+    # every column is nonnegative: colmap[j] is (first column, lower bound)
     colmap = []
     ncols = 0
-    bound_rows = []
-    for j in range(lp.num_vars):
-        lo, hi = lp.lower[j], lp.upper[j]
-        if lo is not None:
-            colmap.append(("lo", ncols, lo))
-            if hi is not None:
-                bound_rows.append((ncols, Fraction(hi - lo)))
-            ncols += 1
-        elif hi is not None:
-            colmap.append(("hi", ncols, hi))
-            ncols += 1
-        else:
-            colmap.append(("free", ncols, None))
-            ncols += 2
+    for lo in lp.lower:
+        colmap.append((ncols, lo))
+        ncols += 1 if lo is not None else 2
 
     trows = []
     for coeffs, rel, rhs in rows:
@@ -205,21 +162,13 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         for j, a in enumerate(coeffs):
             if a == 0:
                 continue
-            mode, c, k = colmap[j]
-            if mode == "lo":
-                row[c] += a
-                b -= a * k
-            elif mode == "hi":
-                row[c] -= a
-                b -= a * k
+            c, lo = colmap[j]
+            row[c] += a
+            if lo is not None:
+                b -= a * lo
             else:
-                row[c] += a
                 row[c + 1] -= a
         trows.append((row, rel, b))
-    for c, ub in bound_rows:
-        row = [_F0] * ncols
-        row[c] = _F1
-        trows.append((row, LE, ub))
 
     # normalize to rhs >= 0; a >= row with zero rhs flips into <= so its
     # surplus can start as the basic variable
@@ -281,13 +230,9 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
         for j, cj in enumerate(lp.objective):
             if cj == 0:
                 continue
-            mode, c, _ = colmap[j]
-            if mode == "lo":
-                cost2[c] += sign * cj
-            elif mode == "hi":
-                cost2[c] -= sign * cj
-            else:
-                cost2[c] += sign * cj
+            c, lo = colmap[j]
+            cost2[c] += sign * cj
+            if lo is None:
                 cost2[c + 1] -= sign * cj
         if _simplex(tableau, basic, cost2) == "unbounded":
             return LpOutcome("unbounded", None, None)
@@ -295,15 +240,7 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     y = [_F0] * art_start
     for i, b in enumerate(basic):
         y[b] = tableau[i][-1]
-    xs = []
-    for j in range(lp.num_vars):
-        mode, c, k = colmap[j]
-        if mode == "lo":
-            xs.append(exact(y[c] + k))
-        elif mode == "hi":
-            xs.append(exact(k - y[c]))
-        else:
-            xs.append(exact(y[c] - y[c + 1]))
+    xs = [exact(y[c] + lo if lo is not None else y[c] - y[c + 1]) for c, lo in colmap]
     if lp.sense == "feasibility":
         return LpOutcome("optimal", None, tuple(xs))
     value = exact(sum(cj * xj for cj, xj in zip(lp.objective, xs)))
@@ -314,21 +251,24 @@ def balancedness_value(game: Game) -> Rational:
     """Optimum of the fractional covering program: one weight per coalition,
     each player covered with total weight exactly 1, value-weighted sum
     maximized. The grand value meets or beats it exactly when the strong
-    core is nonempty."""
-    if game.n > BALANCE_LP_MAX_N:
-        raise CapExceeded(f"covering LP needs 2^{game.n}-1 variables; "
-                          f"guard is n <= {BALANCE_LP_MAX_N}")
-    full = game.full
+    core is nonempty (Bondareva 1963, Shapley 1967).
+
+    Solved through the program's n-variable dual, min x(N) subject to
+    x(S) >= v(S) for every coalition, by row generation: the singleton rows
+    are lower bounds, and each round adds the coalition the optimum leaves
+    most short, the grand coalition included, until none falls short. That
+    optimum satisfies every row, so its x(N) is the value.
+    """
+    n = game.n
     vals = game._values
-    objective = [vals[mask] for mask in range(1, full + 1)]
+    lower = [vals[1 << i] for i in range(n)]
     constraints = []
-    for i in range(game.n):
-        bit = 1 << i
-        row = [1 if mask & bit else 0 for mask in range(1, full + 1)]
-        constraints.append((row, EQ, 1))
-    lp = LinearProgram(full, sense="max", objective=objective,
-                       constraints=constraints, lower=[0] * full)
-    out = lp_solve(lp)
-    if out.status != "optimal":  # singleton cover is feasible, weights are <= 1
-        raise AssertionError(f"covering LP reported {out.status}")
-    return out.value
+    while True:
+        out = lp_solve(LinearProgram(n, sense="min", objective=[1] * n,
+                                     constraints=constraints, lower=lower))
+        if out.status != "optimal":  # the lower bounds keep x(N) bounded below
+            raise AssertionError(f"balancedness dual reported {out.status}")
+        short = _most_short(vals, out.witness, n)
+        if not short:
+            return out.value
+        constraints += [([c >> i & 1 for i in range(n)], GE, vals[c]) for c in short]

@@ -10,24 +10,22 @@ existing blocks is worth more merged than separate.
 Fission is decided block by block: a pair resists fission in a mode exactly
 when each block's restricted allocation lies in that mode's core of the
 block's subgame, and the first block that does not yields a defeating
-refinement lifted from its subgame's core certificate.
-:func:`fission_resistant_direct` scans every strict refinement instead; it is
-the reference the tests compare the per-block route against.
+refinement lifted from its subgame's core certificate. The tests keep a
+direct scan of every strict refinement as the reference for this route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from typing import Iterator, Sequence
 
-from .cores import (MEDIUM, STRONG, CoreReport, _blockwise_core_nonempty_cached,
+from .cores import (MEDIUM, CoreReport, _blockwise_core_nonempty_cached,
                     _check_mode, _structure_table, core_contains)
 from .errors import CapExceeded, InfeasiblePair
 from .game import (Game, PAPair, Partition, _check_allocation, _check_partition,
-                   is_partition_allocation, members, prefix_sums, subgame)
+                   is_partition_allocation, members, subgame)
 from .io import _partition_from, partition_names
-from .lattice import _bell, _iter_refinements_raw, _sorted_blocks, all_partitions
+from .lattice import _sorted_blocks, all_partitions
 from .rational import Rational
 
 ENUMERATE_MAX_N = 8
@@ -82,40 +80,6 @@ def _require_feasible(game: Game, pair: PAPair) -> tuple:
         raise InfeasiblePair(
             f"allocation {pair.allocation} is not feasible for partition {pair.partition}")
     return xs
-
-
-def fission_resistant_direct(game: Game, pair: PAPair, mode: str) -> bool:
-    """Scan every strict refinement of the pair's partition and apply the
-    mode's blocking rule to it. Costs the product of Bell(|b|) over the
-    blocks, refused above Bell(ENUMERATE_MAX_N), the budget
-    :func:`enumerate_stable_partitions` allows; this is the reference the
-    per-block route is tested against."""
-    _check_mode(mode)
-    xs = _require_feasible(game, pair)
-    blocks = pair.partition.blocks
-    cost, budget = prod(_bell(b.bit_count()) for b in blocks), _bell(ENUMERATE_MAX_N)
-    if cost > budget:
-        raise CapExceeded(f"refusing to scan {cost} refinements "
-                          f"(guard is Bell({ENUMERATE_MAX_N}) = {budget})")
-    vals = game._values
-    if mode == MEDIUM:
-        current = sum(vals[b] for b in blocks)
-        for ref in _iter_refinements_raw(blocks):
-            if sum(vals[b] for b in ref) > current:
-                return False
-        return True
-    sums = prefix_sums(xs, game.n)
-    own = set(blocks)
-    if mode == STRONG:
-        for ref in _iter_refinements_raw(blocks):
-            for b in ref:
-                if b not in own and sums[b] < vals[b]:
-                    return False
-        return True
-    for ref in _iter_refinements_raw(blocks):  # weak: some new block must hold out
-        if not any(b not in own and sums[b] >= vals[b] for b in ref):
-            return False
-    return True
 
 
 def _first_outside(game: Game, blocks: tuple[int, ...], xs: tuple,

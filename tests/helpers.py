@@ -4,8 +4,11 @@ Everything here is deliberately independent of the library's own algorithms:
 enumeration by element insertion, linear algebra by Gaussian elimination,
 optima by vertex enumeration. These are the slow-but-obvious routes the fast
 implementations are checked against. The exceptions are
-:func:`checked_stable_contains`, which compares against the library's direct
-refinement scan, the reference route for fission resistance;
+:func:`fission_resistant_direct`, the direct scan of every strict refinement
+over the library's refinement generator, which :func:`checked_stable_contains`
+compares the per-block route against; :func:`covering_value`, the whole
+(2^n - 1)-weight covering program through the library's simplex, which
+shares no row generation with the strong-core search;
 :func:`best_coarsening_pairwise`, which runs the library's structure table
 once per forced pair-merge; and :func:`weak_core_nonempty_unhit`, the
 library's earlier weak-core search, which branches on unhit partitions over
@@ -14,10 +17,14 @@ the library's feasibility LP.
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
-from coalstab import (Game, Partition, coalition_value, equal_surplus_allocation,
-                      fission_resistant_direct, medium_core_nonempty, members, stable_contains)
-from coalstab.cores import _feasible_with, _table_blocks, subset_structure_table
+from coalstab import (CapExceeded, Game, LinearProgram, Partition, coalition_value,
+                      equal_surplus_allocation, lp_solve, medium_core_nonempty, members,
+                      stable_contains)
+from coalstab.cores import _check_mode, _feasible_with, _table_blocks, subset_structure_table
+from coalstab.lattice import _iter_refinements_raw
+from coalstab.stability import ENUMERATE_MAX_N, _require_feasible
 
 
 # ---------------------------------------------------------------- counting
@@ -203,7 +210,7 @@ def weak_core_nonempty_unhit(game: Game) -> tuple[bool, tuple | None]:
 
 def checked_stable_contains(game: Game, pair, mode):
     """``stable_contains`` with its answer checked: the fission verdict must
-    equal the library's direct refinement scan, each certificate must be a
+    equal the direct refinement scan, each certificate must be a
     strict refinement (fission) or coarsening (fusion) of the pair's
     partition, and it must defeat the pair under the mode's rule, checked
     here by hand."""
@@ -233,6 +240,34 @@ def checked_stable_contains(game: Game, pair, mode):
         assert Partition(game.n, coarse).blocks == coarse and refines_oracle(own, coarse)
         assert sum(game.value(b) for b in coarse) > current
     return report
+
+
+def fission_resistant_direct(game: Game, pair, mode: str) -> bool:
+    """Scan every strict refinement of the pair's partition and apply the
+    mode's blocking rule to it. Costs the product of Bell(|b|) over the
+    blocks, refused above Bell(ENUMERATE_MAX_N), the budget
+    ``enumerate_stable_partitions`` allows."""
+    _check_mode(mode)
+    xs = _require_feasible(game, pair)
+    blocks = pair.partition.blocks
+    bell = bell_numbers(max(game.n, ENUMERATE_MAX_N))
+    cost, budget = prod(bell[b.bit_count()] for b in blocks), bell[ENUMERATE_MAX_N]
+    if cost > budget:
+        raise CapExceeded(f"refusing to scan {cost} refinements "
+                          f"(guard is Bell({ENUMERATE_MAX_N}) = {budget})")
+    vals = game._values
+    if mode == "medium":
+        current = sum(vals[b] for b in blocks)
+        return all(sum(vals[b] for b in ref) <= current
+                   for ref in _iter_refinements_raw(blocks))
+    sums = allocation_sums(xs, game.n)
+    own = set(blocks)
+    if mode == "strong":
+        return not any(b not in own and sums[b] < vals[b]
+                       for ref in _iter_refinements_raw(blocks) for b in ref)
+    # weak: some new block of every refinement must hold out
+    return all(any(b not in own and sums[b] >= vals[b] for b in ref)
+               for ref in _iter_refinements_raw(blocks))
 
 
 # ------------------------------------------------ coarsening, pair by pair
@@ -328,6 +363,19 @@ def balancedness_oracle(game: Game):
             if best is None or value > best:
                 best = value
     return best
+
+
+def covering_value(game: Game):
+    """Balancedness by the whole covering program through ``lp_solve``: one
+    nonnegative weight per coalition (2^n - 1 variables), each player
+    covered with total weight exactly 1, value-weighted sum maximized."""
+    full = game.full
+    masks = range(1, full + 1)
+    rows = [([c >> i & 1 for c in masks], "=", 1) for i in range(game.n)]
+    out = lp_solve(LinearProgram(full, sense="max", objective=[game.value(c) for c in masks],
+                                 constraints=rows, lower=[0] * full))
+    assert out.status == "optimal"  # the singleton cover is feasible, weights are <= 1
+    return out.value
 
 
 def brute_lp_max(num_vars, objective, rows):

@@ -9,7 +9,7 @@ import random
 import time
 
 from coalstab import (Game, LinearProgram, PAPair, Partition, all_partitions,
-                      balancedness_value, best_coarsening, best_refinement,
+                      best_coarsening, best_refinement,
                       dominates_coarsenings, enumerate_partitions,
                       enumerate_stable_partitions, fission_neighborhood,
                       fission_resistant_decomposed,
@@ -20,7 +20,8 @@ from coalstab import (Game, LinearProgram, PAPair, Partition, all_partitions,
                       strong_core_nonempty, weak_core_contains, weak_core_nonempty,
                       worth)
 from coalstab.lattice import FISSION
-from helpers import (bell_numbers, checked_stable_contains, medium_member_partition_scan,
+from helpers import (bell_numbers, checked_stable_contains, covering_value,
+                     medium_member_partition_scan,
                      random_game,
                      random_partition, sample_efficient_allocations,
                      sample_feasible_allocations, strong_member_partition_scan,
@@ -179,7 +180,7 @@ def test_criterion_07_balancedness_consistency():
         for _ in range(count):
             game = random_game(rng, n)
             games += 1
-            cover_value = balancedness_value(game)
+            cover_value = covering_value(game)
             structure_value = optimal_structure_value(game)[0]
             assert structure_value <= cover_value
             nonempty, witness = strong_core_nonempty(game)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from coalstab import (CapExceeded, Game, InputError, LinearProgram, balancedness_value,
+from coalstab import (Game, InputError, LinearProgram, balancedness_value,
                       lp_solve, strong_core_contains, strong_core_nonempty,
-                      optimal_structure_value)
-from helpers import balancedness_oracle, brute_lp_max, random_game
+                      optimal_structure_value, ratlp)
+from helpers import (adversarial_game, balancedness_oracle, brute_lp_max, covering_value,
+                     random_game)
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -44,16 +45,13 @@ def test_feasibility_witness_is_exact():
 
 def test_free_variables_and_upper_bounds():
     lp = LinearProgram(2, sense="min", objective=[1, 1],
-                       constraints=[([1, 1], GE, -5)], upper=[10, 10])
+                       constraints=[([1, 1], GE, -5), ([1, 0], LE, 10), ([0, 1], LE, 10)])
     out = lp_solve(lp)
     assert out.status == "optimal" and out.value == -5
 
-    lp2 = LinearProgram(1, sense="max", objective=[1], lower=[2], upper=[7])
+    lp2 = LinearProgram(1, sense="max", objective=[1], constraints=[([1], LE, 7)], lower=[2])
     out2 = lp_solve(lp2)
     assert out2.value == 7 and out2.witness == (7,)
-
-    lp3 = LinearProgram(1, constraints=(), lower=[3], upper=[2])
-    assert lp_solve(lp3).status == "infeasible"
 
 
 def test_validation():
@@ -65,15 +63,6 @@ def test_validation():
         LinearProgram(2, constraints=[([1, 1], "<", 0)])
     with pytest.raises(InputError):
         LinearProgram(2, lower=[0])
-
-
-def test_debug_format():
-    lp = LinearProgram(2, sense="max", objective=[1, Fraction(3, 2)],
-                       constraints=[([1, -1], LE, 2)], lower=[0, None], upper=[None, 5])
-    text = lp.debug_format()
-    assert "max 1*x0 + 3/2*x1" in text
-    assert "1*x0 + -1*x1 <= 2" in text
-    assert "0 <= x0" in text and "x1 <= 5" in text
 
 
 def test_row_permutation_invariance():
@@ -153,8 +142,35 @@ def test_balancedness_against_vertex_oracle():
 
 
 def test_balancedness_cap():
-    with pytest.raises(CapExceeded):
-        balancedness_value(Game(13, cap=13))
+    # no guard of its own below the player cap: the all-zero game needs one
+    # 13-variable solve
+    assert balancedness_value(Game(13, cap=13)) == 0
+
+
+def test_balancedness_matches_covering_program():
+    rng = random.Random(29)
+    for n in range(1, 8):
+        for _ in range(12 if n < 7 else 3):
+            for g in (random_game(rng, n), adversarial_game(rng, n)):
+                assert balancedness_value(g) == covering_value(g)
+
+
+def test_balancedness_solves_few_n_variable_programs(monkeypatch):
+    """Row generation on the n-variable dual: the 12-player adversarial game
+    that took minutes as a 4,095-variable covering program takes 16 solves
+    of 12 variables each."""
+    g = adversarial_game(random.Random(7), 12)
+    widths = []
+    solve = ratlp.lp_solve
+
+    def counted(lp):
+        widths.append(lp.num_vars)
+        return solve(lp)
+
+    monkeypatch.setattr(ratlp, "lp_solve", counted)
+    value = balancedness_value(g)
+    assert set(widths) == {12} and len(widths) <= 20
+    assert value > g.value(g.full) and value >= optimal_structure_value(g)[0]
 
 
 def test_bondareva_shapley_and_chain():
@@ -162,7 +178,7 @@ def test_bondareva_shapley_and_chain():
     for n in (2, 3, 4, 5, 6):
         for _ in range(25):
             g = random_game(rng, n)
-            plus = balancedness_value(g)
+            plus = covering_value(g)
             zero, _ = optimal_structure_value(g)
             assert zero <= plus
             nonempty, witness = strong_core_nonempty(g)

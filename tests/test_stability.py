@@ -3,14 +3,14 @@ import random
 import pytest
 
 from coalstab import (Game, InfeasiblePair, PAPair, Partition, all_partitions,
-                      balancedness_value, blockwise_core_contains, blockwise_core_nonempty,
+                      blockwise_core_contains, blockwise_core_nonempty,
                       CapExceeded, core_contains, dominates_coarsenings,
                       enumerate_stable_partitions, equal_surplus_allocation,
-                      fission_resistant_decomposed, fission_resistant_direct,
-                      fusion_resistant, fusion_neighborhood, strong_core_contains,
-                      strong_core_nonempty, subgame, worth)
+                      fission_resistant_decomposed, fusion_resistant, fusion_neighborhood,
+                      strong_core_contains, strong_core_nonempty, subgame, worth)
 from coalstab import cores, lattice, ratlp, stability
-from helpers import (ADVERSARIAL_6, checked_stable_contains, random_game, random_partition,
+from helpers import (ADVERSARIAL_6, checked_stable_contains, covering_value,
+                     fission_resistant_direct, random_game, random_partition,
                      sample_feasible_allocations)
 
 MODES = ("strong", "medium", "weak")
@@ -165,7 +165,7 @@ def test_strong_blockwise_nonempty_matches_covering_oracle():
                     for b in p.blocks:
                         rest = [1 << i for i in range(n) if not b >> i & 1]
                         alone = Partition(n, [b] + rest)  # singletons always pass
-                        oracle = g.value(b) >= balancedness_value(subgame(g, b)[0])
+                        oracle = g.value(b) >= covering_value(subgame(g, b)[0])
                         assert blockwise_core_nonempty(g, alone, "strong") == oracle
                         verdicts[oracle] += 1
     assert min(verdicts.values()) >= 50
@@ -321,7 +321,6 @@ def no_search(monkeypatch):
     monkeypatch.setattr(ratlp, "lp_solve", boom)
     monkeypatch.setattr(cores, "weak_core_nonempty", boom)
     monkeypatch.setattr(lattice, "_iter_refinements_raw", boom)
-    monkeypatch.setattr(stability, "_iter_refinements_raw", boom)
     return monkeypatch
 
 
@@ -351,7 +350,7 @@ def test_strong_enumerate_never_solves_the_covering_program(monkeypatch):
     monkeypatch.setattr(ratlp, "balancedness_value", boom)
     found = [p.blocks for p in enumerate_stable_partitions(g, "strong")]
     monkeypatch.undo()
-    ok = {b: g.value(b) >= balancedness_value(subgame(g, b)[0]) for b in range(1, 1 << 6)}
+    ok = {b: g.value(b) >= covering_value(subgame(g, b)[0]) for b in range(1, 1 << 6)}
     expected = [p.blocks for p in all_partitions(6)
                 if all(ok[b] for b in p.blocks) and dominates_coarsenings(g, p)]
     assert found == expected and found
