@@ -12,11 +12,9 @@ import argparse
 import json
 import sys
 
-from .cores import (MODES, core_contains, medium_core_nonempty,
-                    strong_core_nonempty, weak_core_nonempty)
+from .cores import MODES, _core_find, core_contains
 from .errors import CoalstabError, EmptyBlockAllocation, InputError
-from .game import (DEFAULT_PLAYER_CAP, PAPair, Partition, equal_surplus_allocation,
-                   worth)
+from .game import DEFAULT_PLAYER_CAP, PAPair, equal_surplus_allocation, worth
 from .io import (load_game, mask_to_names, parse_allocation, parse_partition,
                  partition_names, partition_to_text, rational_json)
 from .lattice import GRAPH_EXPORT_MAX_N, export_graph
@@ -116,13 +114,7 @@ def _cmd_core(args) -> int:
         _emit(args, payload, "".join(f"{ln}\n" for ln in lines))
         return 0 if report.member else 1
 
-    if args.mode == "strong":
-        nonempty, witness = strong_core_nonempty(game)
-    elif args.mode == "medium":
-        nonempty = medium_core_nonempty(game)
-        witness = equal_surplus_allocation(game, Partition.grand(game.n)) if nonempty else None
-    else:
-        nonempty, witness = weak_core_nonempty(game)
+    nonempty, witness = _core_find(game, args.mode)
     payload = {"command": "core-find", "mode": args.mode, "players": list(players),
                "nonempty": nonempty,
                "witness": None if witness is None else [rational_json(v) for v in witness]}

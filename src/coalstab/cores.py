@@ -10,11 +10,11 @@ Exponential costs, by operation: membership scans cost 2^n (strong) or 3^n
 and is cached, and the whole medium core reads it: nonemptiness compares
 its grand entry with v(N), a failed membership takes its argmax as the
 certificate, and the best non-grand worth is one 2^(n-1) scan of it.
-Strong and weak nonemptiness are one witness search, :func:`_witness_search`,
-over exact n-variable :func:`_feasible_with` LPs: a witness outside the core
-branches on coalitions it leaves short, the most short one (strong, the
-2^n scan :func:`ratlp.balancedness_value` also generates its rows with) or
-each block of its deficient partition (weak, a 3^n table per node). Every
+Strong and weak nonemptiness are :func:`ratlp._witness_search` over exact
+n-variable covering LPs, and :func:`_core_find` picks by mode: a witness
+outside the core branches on coalitions it leaves short, the most short one
+(strong; without the efficiency row it is :func:`ratlp.balancedness_value`)
+or each block of its deficient partition (weak, a 3^n table per node). Every
 3^n table is :func:`subset_structure_table` over some weights: the game's
 values, or 0/-1 marks of the coalitions an allocation leaves deficient.
 """
@@ -22,14 +22,14 @@ values, or 0/-1 marks of the coalitions an allocation leaves deficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError, NoNonGrandPartition
-from .game import (Game, Partition, _check_allocation, _most_short,
+from .game import (Game, Partition, _check_allocation, _infeasibility, _most_short,
                    equal_surplus_allocation, prefix_sums, subgame)
 from .io import _mask_from, _partition_from, mask_names, partition_names
 from .rational import Rational
-from . import ratlp
+from .ratlp import _witness_search
 
 STRONG = "strong"
 MEDIUM = "medium"
@@ -198,8 +198,8 @@ def strong_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
 
 def strong_core_nonempty(game: Game) -> tuple[bool, tuple | None]:
     """Exact feasibility of the strong-core system, with a witness, by row
-    generation: :func:`_witness_search` whose cut is the one coalition the
-    witness leaves most short (largest v(S) - x(S), lowest mask on ties).
+    generation: :func:`ratlp._witness_search` whose cut is the one coalition
+    the witness leaves most short (largest v(S) - x(S), lowest mask on ties).
     Each node has one child, so the search is a loop that adds that row and
     solves again, until no coalition falls short (the witness is a member)
     or the rows so far are infeasible (so is the whole system)."""
@@ -211,12 +211,9 @@ def medium_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
     """Medium-core membership: efficient, and the grand value weakly dominates
     every other partition's worth. When it does not, the structure table's
     argmax is a non-grand partition of maximal worth, the certificate."""
-    xs = _check_allocation(game, x)
-    vals = game._values
-    if any(xs[i] < vals[1 << i] for i in range(game.n)):
-        return CoreReport(MEDIUM, False, reason="allocation is not individually rational")
-    if sum(xs) != vals[game.full]:
-        return CoreReport(MEDIUM, False, reason="allocation is not efficient")
+    reason = _infeasibility(game, _check_allocation(game, x), (game.full,))
+    if reason:
+        return CoreReport(MEDIUM, False, reason=reason)
     if medium_core_nonempty(game):
         return CoreReport(MEDIUM, True)
     return CoreReport(MEDIUM, False, partition=optimal_structure_value(game)[1])
@@ -240,14 +237,11 @@ def weak_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
     grand coalition out of it.
     """
     xs = _check_allocation(game, x)
-    vals = game._values
-    n = game.n
-    if any(xs[i] < vals[1 << i] for i in range(n)):
-        return CoreReport(WEAK, False, reason="allocation is not individually rational")
-    full = game.full
+    reason = _infeasibility(game, xs, (game.full,))
+    if reason:
+        return CoreReport(WEAK, False, reason=reason)
+    n, full, vals = game.n, game.full, game._values
     sums = prefix_sums(xs, n)
-    if sums[full] != vals[full]:
-        return CoreReport(WEAK, False, reason="allocation is not efficient")
     weights = [0 if sums[t] < vals[t] else -1 for t in range(full + 1)]
     val, _, first = subset_structure_table(weights, n)
     if val[full] == 0:
@@ -256,63 +250,18 @@ def weak_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
     return CoreReport(WEAK, True, satisfied=satisfied)
 
 
-def _feasible_with(game: Game, required: Iterable[int]) -> tuple | None:
-    """Witness in the efficient set satisfying every coalition in ``required``:
-    the efficiency row, singleton lower bounds, then one covering row per
-    non-singleton mask in ascending order."""
-    vals = game._values
-    n = game.n
-    lower = [vals[1 << i] for i in range(n)]
-    constraints = [([1] * n, ratlp.EQ, vals[game.full])]
-    for c in sorted(required):
-        if c & (c - 1) == 0:
-            continue  # implied by the lower bounds
-        row = [1 if c >> i & 1 else 0 for i in range(n)]
-        constraints.append((row, ratlp.GE, vals[c]))
-    out = ratlp.lp_solve(ratlp.LinearProgram(n, constraints=constraints, lower=lower))
-    return out.witness if out.status == "optimal" else None
-
-
-def _witness_search(game: Game, cut: Callable[[tuple], Sequence[int]]) -> tuple | None:
-    """Depth-first search over sets of coalitions required to be satisfied.
-
-    Each node solves :func:`_feasible_with`; an infeasible node is dropped.
-    ``cut(w)`` names coalitions the witness ``w`` leaves short, at least one
-    of which every core member satisfies; an empty cut means ``w`` is a
-    member and is returned. Each child requires one more of those
-    coalitions, first one first. ``w`` meets every required coalition, so
-    requirement sets strictly grow and the search ends; a member meeting a
-    node's requirements meets some child's, so the search is complete.
-    """
-    seen = {frozenset()}
-    stack = [frozenset()]
-    while stack:
-        required = stack.pop()
-        w = _feasible_with(game, required)
-        if w is None:
-            continue
-        short = cut(w)
-        if not short:
-            return w
-        for c in reversed(short):
-            child = required | {c}
-            if child not in seen:
-                seen.add(child)
-                stack.append(child)
-    return None
-
-
 def weak_core_nonempty(game: Game) -> tuple[bool, tuple | None]:
-    """Weak-core nonemptiness with a witness: :func:`_witness_search` whose
-    cut is the deficient partition :func:`weak_core_contains` certifies
-    against the witness. Every weak-core member satisfies some block of any
-    non-grand partition, and none of those blocks is already required, since
-    the witness satisfies every required coalition. When the medium core is
-    nonempty the efficient equal-surplus split is already a member and the
-    search is skipped.
+    """Weak-core nonemptiness with a witness: :func:`ratlp._witness_search`
+    whose cut is the deficient partition :func:`weak_core_contains`
+    certifies against the witness. Every weak-core member satisfies some
+    block of any non-grand partition, and none of those blocks is already
+    required, since the witness satisfies every required coalition. When
+    the medium core is nonempty its member, the efficient equal-surplus
+    split, is a weak-core member too and the search is skipped.
     """
-    if medium_core_nonempty(game):
-        return True, equal_surplus_allocation(game, Partition.grand(game.n))
+    found = _core_find(game, MEDIUM)
+    if found[0]:
+        return found
 
     def deficient(w: tuple) -> tuple[int, ...]:
         report = weak_core_contains(game, w)
@@ -332,14 +281,28 @@ def core_contains(game: Game, x: Sequence[Rational], mode: str) -> CoreReport:
     return weak_core_contains(game, x)
 
 
-def _blockwise_core_nonempty_cached(game: Game, mask: int, mode: str) -> bool:
-    """Strong- or weak-core nonemptiness on the subgame of ``mask``; memoized.
+def _core_find(game: Game, mode: str) -> tuple[bool, tuple | None]:
+    """Nonemptiness of the mode's core, with a member when nonempty. The
+    medium core's member is the efficient equal-surplus split."""
+    if mode == STRONG:
+        return strong_core_nonempty(game)
+    if mode == WEAK:
+        return weak_core_nonempty(game)
+    if medium_core_nonempty(game):
+        return True, equal_surplus_allocation(game, Partition.grand(game.n))
+    return False, None
 
-    Small blocks collapse: with two players both cores equal the efficient
+
+def _blockwise_core_nonempty_cached(game: Game, mask: int, mode: str) -> bool:
+    """Core nonemptiness on the subgame of ``mask``: medium reads the game's
+    structure table at ``mask``, the subgame's grand entry. Small blocks
+    collapse: with two players the strong and weak cores equal the efficient
     set, and with three players the weak core does too, because every
     non-grand partition of a 3-set contains an always-satisfied singleton.
-    Larger blocks ask the subgame's own nonemptiness search.
+    Larger blocks ask :func:`_core_find` on the subgame, memoized.
     """
+    if mode == MEDIUM:
+        return _structure_table(game)[0][mask] == game._values[mask]
     size = mask.bit_count()
     if size == 1:
         return True
@@ -355,6 +318,6 @@ def _blockwise_core_nonempty_cached(game: Game, mask: int, mode: str) -> bool:
     got = memo.get(key)
     if got is None:
         sub, _ = subgame(game, mask)
-        got = (strong_core_nonempty if mode == STRONG else weak_core_nonempty)(sub)[0]
+        got = _core_find(sub, mode)[0]
         memo[key] = got
     return got

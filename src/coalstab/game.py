@@ -281,26 +281,27 @@ def worth(game: Game, p: Partition) -> Rational:
     return sum(vals[b] for b in p.blocks)
 
 
-def is_efficient_allocation(game: Game, x: Sequence[Rational]) -> bool:
-    """True iff ``x`` is individually rational and sums to the grand value."""
-    xs = _check_allocation(game, x)
+def _infeasibility(game: Game, xs: tuple, blocks: Iterable[int]) -> str | None:
+    """Why ``xs`` is not feasible for the partition with ``blocks``: the
+    feasibility rule is individual rationality, then a total of exactly
+    v(b) on every block b. None when it is feasible."""
     vals = game._values
     if any(xs[i] < vals[1 << i] for i in range(game.n)):
-        return False
-    return sum(xs) == vals[game.full]
+        return "allocation is not individually rational"
+    if any(sum(xs[i] for i in members(b)) != vals[b] for b in blocks):
+        return "allocation is not efficient"
+    return None
+
+
+def is_efficient_allocation(game: Game, x: Sequence[Rational]) -> bool:
+    """True iff ``x`` is individually rational and sums to the grand value."""
+    return _infeasibility(game, _check_allocation(game, x), (game.full,)) is None
 
 
 def is_partition_allocation(game: Game, p: Partition, x: Sequence[Rational]) -> bool:
     """True iff ``x`` is individually rational and exactly efficient per block of ``p``."""
     _check_partition(game, p)
-    xs = _check_allocation(game, x)
-    vals = game._values
-    if any(xs[i] < vals[1 << i] for i in range(game.n)):
-        return False
-    for b in p.blocks:
-        if sum(xs[i] for i in members(b)) != vals[b]:
-            return False
-    return True
+    return _infeasibility(game, _check_allocation(game, x), p.blocks) is None
 
 
 def equal_surplus_allocation(game: Game, p: Partition) -> tuple:

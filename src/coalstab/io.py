@@ -76,7 +76,7 @@ def parse_game_dict(doc, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
         mask = names_to_mask(key, index)
         if mask in table:
             raise InputError(f"coalition key {key!r} repeats an earlier coalition")
-        if isinstance(value, bool) or isinstance(value, float):
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise InputError(f"value for {key!r} must be an integer or a p/q string")
         table[mask] = exact(value)
     game = Game(len(names), table, cap=cap)
@@ -93,14 +93,15 @@ def load_game(path, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
     return parse_game_json(text, cap=cap)
 
 
-def names_to_mask(key: str, index: dict[str, int]) -> int:
-    parts = [p.strip() for p in key.split(",")]
+def names_to_mask(key, index: dict) -> int:
+    """Mask of a coalition named once per member, each a key of ``index``:
+    comma-joined (game files, CLI text) or as a list (report JSON)."""
+    parts = [p.strip() for p in key.split(",")] if isinstance(key, str) else key
     seen = set()
     for p in parts:
-        if not p:
-            raise InputError(f"empty player name in coalition key {key!r}")
         if p not in index:
-            raise InputError(f"unknown player {p!r} in coalition key {key!r}")
+            what = "empty player name" if p == "" else f"unknown player {p!r}"
+            raise InputError(f"{what} in coalition key {key!r}")
         if p in seen:
             raise InputError(f"player {p!r} repeated in coalition key {key!r}")
         seen.add(p)
@@ -127,13 +128,17 @@ def partition_names(p: Partition, players) -> list:
 
 
 def _mask_from(group, players) -> int | None:
-    """Invert :func:`mask_names`."""
+    """Invert :func:`mask_names` through :func:`names_to_mask`: names of
+    ``players``, or player indices when ``players`` is None."""
     if group is None:
         return None
+    if not isinstance(group, list) or not all(isinstance(p, (str, int)) for p in group):
+        raise InputError(f"coalition {group!r} must be a list of player names or indices")
     if players is None:
-        return sum(1 << i for i in group)
-    index = {name: i for i, name in enumerate(players)}
-    return sum(1 << index[name] for name in group)
+        index = {i: i for i in group if type(i) is int and i >= 0}
+    else:
+        index = {name: i for i, name in enumerate(players)}
+    return names_to_mask(group, index)
 
 
 def _partition_from(groups, players, n) -> Partition | None:
@@ -141,7 +146,7 @@ def _partition_from(groups, players, n) -> Partition | None:
     if groups is None:
         return None
     blocks = [_mask_from(g, players) for g in groups]
-    size = n if n is not None else max(b.bit_length() for b in blocks)
+    size = n if n is not None else max((b.bit_length() for b in blocks), default=0)
     return Partition(size, blocks)
 
 

@@ -3,7 +3,8 @@ neighborhoods, one-step moves, and the layered coalition-structure graph.
 
 Counts to keep in mind: there are Bell(n) partitions overall, so anything
 that enumerates them is exponential-plus. Neighborhood functions therefore
-yield lazily; pass ``materialize=True`` to get a tuple instead.
+yield lazily, and :func:`all_partitions`, which materializes all Bell(n),
+stops at ``ENUMERATE_MAX_N`` players.
 
 Every set-partition walk here is :func:`_partitions_of_mask`, one
 growth-string generator: over the players for the canonical enumeration,
@@ -21,7 +22,7 @@ from .errors import CapExceeded, InputError
 from .game import DEFAULT_PLAYER_CAP, Partition, members, prefix_sums
 
 GRAPH_EXPORT_MAX_N = 6
-_PARTITION_CACHE_MAX_N = 8
+ENUMERATE_MAX_N = 8
 
 FISSION = "one-step-fission"
 FUSION = "one-step-fusion"
@@ -82,10 +83,10 @@ _partition_cache: dict[int, tuple[Partition, ...]] = {}
 
 def all_partitions(n: int) -> tuple[Partition, ...]:
     """Materialized canonical enumeration, cached for small n."""
-    if n > _PARTITION_CACHE_MAX_N:
+    if n > ENUMERATE_MAX_N:
         raise CapExceeded(
             f"refusing to materialize all partitions for n={n} "
-            f"(supported up to n={_PARTITION_CACHE_MAX_N}); use enumerate_partitions")
+            f"(supported up to n={ENUMERATE_MAX_N}); use enumerate_partitions")
     got = _partition_cache.get(n)
     if got is None:
         got = tuple(Partition._unchecked(n, bl) for bl in _partitions_of_mask((1 << n) - 1))
@@ -139,11 +140,10 @@ def _iter_refinements_raw(blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             for parts in islice(product(*per_block), 1, None))
 
 
-def fission_neighborhood(p: Partition, materialize: bool = False):
+def fission_neighborhood(p: Partition) -> Iterator[Partition]:
     """All strict refinements of ``p``; empty for the all-singleton partition."""
-    it = (Partition._unchecked(p.n, _sorted_blocks(bl))
-          for bl in _iter_refinements_raw(p.blocks))
-    return tuple(it) if materialize else it
+    return (Partition._unchecked(p.n, _sorted_blocks(bl))
+            for bl in _iter_refinements_raw(p.blocks))
 
 
 def _iter_coarsenings_raw(blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -154,11 +154,10 @@ def _iter_coarsenings_raw(blocks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
             for grouping in _partitions_of_mask((1 << q) - 1) if len(grouping) < q)
 
 
-def fusion_neighborhood(p: Partition, materialize: bool = False):
+def fusion_neighborhood(p: Partition) -> Iterator[Partition]:
     """All strict coarsenings of ``p``; empty for the grand-coalition partition."""
-    it = (Partition._unchecked(p.n, tuple(bl))
-          for bl in _iter_coarsenings_raw(p.blocks))
-    return tuple(it) if materialize else it
+    return (Partition._unchecked(p.n, tuple(bl))
+            for bl in _iter_coarsenings_raw(p.blocks))
 
 
 def one_step_fission(p: Partition) -> tuple[Partition, ...]:

@@ -10,16 +10,17 @@ free. Constraint rows are put into a canonical order before solving, which
 makes the outcome (including the witness) independent of the order callers
 listed them in.
 
-Every program the library solves has one variable per player: the core
-feasibility systems, and :func:`balancedness_value`, which generates the
-rows of the covering program's dual as it goes.
+Every program the library solves is built by :func:`_feasible_with`: the
+strong core's n-variable covering system over the coalitions that
+:func:`_witness_search` requires so far, with the efficiency row (core
+nonemptiness) or with x(N) minimized in its place (:func:`balancedness_value`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 from .game import Game, _most_short
@@ -247,6 +248,54 @@ def lp_solve(lp: LinearProgram) -> LpOutcome:
     return LpOutcome("optimal", value, tuple(xs))
 
 
+def _feasible_with(game: Game, required: Iterable[int],
+                   minimize: bool = False) -> tuple | None:
+    """Witness of the strong core's covering system restricted to the
+    coalitions in ``required``: singleton lower bounds, one row
+    x(S) >= v(S) per other required mask, and the efficiency row
+    x(N) = v(N), or with ``minimize`` the least x(N) in its place."""
+    vals = game._values
+    n = game.n
+    rows = [([c >> i & 1 for i in range(n)], GE, vals[c])
+            for c in required if c & (c - 1)]  # singletons are lower bounds
+    if not minimize:
+        rows.append(([1] * n, EQ, vals[game.full]))
+    out = lp_solve(LinearProgram(n, sense="min" if minimize else "feasibility",
+                                 objective=[1] * n if minimize else None,
+                                 constraints=rows, lower=[vals[1 << i] for i in range(n)]))
+    return out.witness if out.status == "optimal" else None
+
+
+def _witness_search(game: Game, cut: Callable[[tuple], Sequence[int]],
+                    minimize: bool = False) -> tuple | None:
+    """Depth-first search over sets of coalitions required to be satisfied.
+
+    Each node solves :func:`_feasible_with`; an infeasible node is dropped.
+    ``cut(w)`` names coalitions the witness ``w`` leaves short, at least one
+    of which every core member satisfies; an empty cut means ``w`` is a
+    member and is returned. Each child requires one more of those
+    coalitions, first one first. ``w`` meets every required coalition, so
+    requirement sets strictly grow and the search ends; a member meeting a
+    node's requirements meets some child's, so the search is complete.
+    """
+    seen = {frozenset()}
+    stack = [frozenset()]
+    while stack:
+        required = stack.pop()
+        w = _feasible_with(game, required, minimize)
+        if w is None:
+            continue
+        short = cut(w)
+        if not short:
+            return w
+        for c in reversed(short):
+            child = required | {c}
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return None
+
+
 def balancedness_value(game: Game) -> Rational:
     """Optimum of the fractional covering program: one weight per coalition,
     each player covered with total weight exactly 1, value-weighted sum
@@ -254,21 +303,11 @@ def balancedness_value(game: Game) -> Rational:
     core is nonempty (Bondareva 1963, Shapley 1967).
 
     Solved through the program's n-variable dual, min x(N) subject to
-    x(S) >= v(S) for every coalition, by row generation: the singleton rows
-    are lower bounds, and each round adds the coalition the optimum leaves
-    most short, the grand coalition included, until none falls short. That
-    optimum satisfies every row, so its x(N) is the value.
+    x(S) >= v(S): the strong core's row generation, the coalition the
+    optimum leaves most short added each round (the grand coalition
+    included), with that objective in place of the efficiency row.
     """
-    n = game.n
-    vals = game._values
-    lower = [vals[1 << i] for i in range(n)]
-    constraints = []
-    while True:
-        out = lp_solve(LinearProgram(n, sense="min", objective=[1] * n,
-                                     constraints=constraints, lower=lower))
-        if out.status != "optimal":  # the lower bounds keep x(N) bounded below
-            raise AssertionError(f"balancedness dual reported {out.status}")
-        short = _most_short(vals, out.witness, n)
-        if not short:
-            return out.value
-        constraints += [([c >> i & 1 for i in range(n)], GE, vals[c]) for c in short]
+    w = _witness_search(game, lambda w: _most_short(game._values, w, game.n), minimize=True)
+    if w is None:  # the lower bounds keep x(N) bounded below
+        raise AssertionError("balancedness dual reported no optimum")
+    return exact(sum(w))

@@ -19,16 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cores import (MEDIUM, CoreReport, _blockwise_core_nonempty_cached,
-                    _check_mode, _structure_table, core_contains)
+from .cores import CoreReport, _blockwise_core_nonempty_cached, _check_mode, core_contains
 from .errors import CapExceeded, InfeasiblePair
 from .game import (Game, PAPair, Partition, _check_allocation, _check_partition,
                    is_partition_allocation, members, subgame)
 from .io import _partition_from, partition_names
-from .lattice import _sorted_blocks, all_partitions
+from .lattice import ENUMERATE_MAX_N, _sorted_blocks, all_partitions
 from .rational import Rational
-
-ENUMERATE_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -116,12 +113,11 @@ def _defeating_refinement(game: Game, blocks: tuple[int, ...], b: int,
 
 
 def fission_resistant_decomposed(game: Game, pair: PAPair, mode: str) -> bool:
-    """Per-block route: each block's restricted allocation must sit in the
-    matching core of that block's subgame. This is the route
+    """Per-block route: a feasible pair whose blocks pass
+    :func:`blockwise_core_contains`. This is the route
     :func:`stable_contains` answers through."""
-    _check_mode(mode)
-    xs = _require_feasible(game, pair)
-    return _first_outside(game, pair.partition.blocks, xs, mode) is None
+    _require_feasible(game, pair)
+    return blockwise_core_contains(game, pair.partition, pair.allocation, mode)
 
 
 def _fusion_scan(game: Game, blocks: tuple[int, ...]) -> tuple[bool, int]:
@@ -150,9 +146,9 @@ def _fusion_scan(game: Game, blocks: tuple[int, ...]) -> tuple[bool, int]:
 
 def fusion_resistant(game: Game, pair: PAPair) -> bool:
     """No set of the pair's blocks gains by merging. Depends on the partition
-    alone once feasibility holds."""
+    alone once feasibility holds: :func:`dominates_coarsenings`."""
     _require_feasible(game, pair)
-    return _fusion_scan(game, pair.partition.blocks)[0]
+    return dominates_coarsenings(game, pair.partition)
 
 
 def blockwise_core_contains(game: Game, p: Partition, x: Sequence[Rational],
@@ -171,10 +167,6 @@ def blockwise_core_nonempty(game: Game, p: Partition, mode: str) -> bool:
     i.e. the partition supports at least one fission-resistant allocation."""
     _check_mode(mode)
     _check_partition(game, p)
-    if mode == MEDIUM:
-        val, _, _ = _structure_table(game)
-        vals = game._values
-        return all(val[b] == vals[b] for b in p.blocks)
     return all(_blockwise_core_nonempty_cached(game, b, mode) for b in p.blocks)
 
 

@@ -22,8 +22,9 @@ from math import prod
 from coalstab import (CapExceeded, Game, LinearProgram, Partition, coalition_value,
                       equal_surplus_allocation, lp_solve, medium_core_nonempty, members,
                       stable_contains)
-from coalstab.cores import _check_mode, _feasible_with, _table_blocks, subset_structure_table
+from coalstab.cores import _check_mode, _table_blocks, subset_structure_table
 from coalstab.lattice import _iter_refinements_raw
+from coalstab.ratlp import _feasible_with
 from coalstab.stability import ENUMERATE_MAX_N, _require_feasible
 
 

@@ -60,6 +60,13 @@ def test_loader_rejects_bad_input():
         parse_game_json('{"players": ["A"], "extra": 1}')
 
 
+def test_loader_refuses_values_that_are_not_numbers():
+    # refused as game values, not as unparsable rationals
+    for value in ("null", "[1]"):
+        with pytest.raises(InputError, match="must be an integer or a p/q string"):
+            parse_game_json(f'{{"players": ["A"], "values": {{"A": {value}}}}}')
+
+
 def test_loader_missing_file():
     with pytest.raises(InputError):
         load_game("/no/such/file.json")

@@ -92,7 +92,7 @@ def test_neighborhood_examples():
     assert [str(q) for q in fission_neighborhood(P(3, [0, 1], [2]))] == ["0|1|2"]
 
     assert tuple(fusion_neighborhood(Partition.grand(4))) == ()
-    assert len(fusion_neighborhood(Partition.singletons(3), materialize=True)) == 4
+    assert len(tuple(fusion_neighborhood(Partition.singletons(3)))) == 4
     assert [str(q) for q in fusion_neighborhood(P(3, [0, 1], [2]))] == ["0,1,2"]
 
 

@@ -158,8 +158,8 @@ def test_balancedness_matches_covering_program():
 def test_balancedness_solves_few_n_variable_programs(monkeypatch):
     """Row generation on the n-variable dual: the 12-player adversarial game
     that took minutes as a 4,095-variable covering program takes 16 solves
-    of 12 variables each."""
-    g = adversarial_game(random.Random(7), 12)
+    of 12 variables each. The counts and values are pinned, so a change to
+    the shared witness search that does more work shows here."""
     widths = []
     solve = ratlp.lp_solve
 
@@ -168,9 +168,13 @@ def test_balancedness_solves_few_n_variable_programs(monkeypatch):
         return solve(lp)
 
     monkeypatch.setattr(ratlp, "lp_solve", counted)
-    value = balancedness_value(g)
-    assert set(widths) == {12} and len(widths) <= 20
-    assert value > g.value(g.full) and value >= optimal_structure_value(g)[0]
+    for n, solves, expected in ((8, 12, 454), (10, 12, 768), (12, 16, Fraction(12780, 11))):
+        g = adversarial_game(random.Random(7), n)
+        widths.clear()
+        value = balancedness_value(g)
+        assert set(widths) == {n} and len(widths) == solves
+        assert value == expected
+        assert value > g.value(g.full) and value >= optimal_structure_value(g)[0]
 
 
 def test_bondareva_shapley_and_chain():

@@ -8,13 +8,14 @@ reports. Games stay at n <= 5 and every property is bounded by
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coalstab import (MODES, CoreReport, EmptyBlockAllocation, Game, PAPair, Partition,
-                      SamTrace, StabilityReport, core_contains, equal_surplus_allocation,
-                      format_rational, parse_game_json, parse_rational, sam_run,
-                      stable_contains)
+from coalstab import (MODES, CoreReport, EmptyBlockAllocation, Game, InputError, PAPair,
+                      Partition, SamTrace, StabilityReport, core_contains,
+                      equal_surplus_allocation, format_rational, parse_game_json,
+                      parse_rational, sam_run, stable_contains)
 from coalstab.io import _partition_from, partition_names, rational_json
 
 rationals = st.one_of(st.integers(-10**30, 10**30),
@@ -137,3 +138,16 @@ def test_stability_report_json_round_trip(data):
     rebuilt = StabilityReport.from_json(through_json(report.to_json(players)), players)
     assert rebuilt == report
 
+
+def test_report_json_decodes_names_strictly():
+    """Report JSON goes through the game files' named-mask parser: a repeated
+    name is not a different player, and an unknown name or an empty
+    partition is an input error, not a KeyError or ValueError."""
+    players = ("A", "B", "C")
+    with pytest.raises(InputError, match="repeated"):
+        CoreReport.from_json({"mode": "strong", "member": False, "coalition": ["A", "A"]},
+                             players)
+    with pytest.raises(InputError, match="unknown player"):
+        CoreReport.from_json({"mode": "strong", "member": False, "coalition": ["D"]}, players)
+    with pytest.raises(InputError):
+        CoreReport.from_json({"mode": "medium", "member": False, "partition": []})

@@ -7,7 +7,8 @@ from coalstab import (Game, InfeasiblePair, PAPair, Partition, all_partitions,
                       CapExceeded, core_contains, dominates_coarsenings,
                       enumerate_stable_partitions, equal_surplus_allocation,
                       fission_resistant_decomposed, fusion_resistant, fusion_neighborhood,
-                      strong_core_contains, strong_core_nonempty, subgame, worth)
+                      medium_core_nonempty, strong_core_contains, strong_core_nonempty,
+                      subgame, worth)
 from coalstab import cores, lattice, ratlp, stability
 from helpers import (ADVERSARIAL_6, checked_stable_contains, covering_value,
                      fission_resistant_direct, random_game, random_partition,
@@ -240,6 +241,18 @@ def test_medium_blockwise_core_is_all_or_nothing():
             nonempty = blockwise_core_nonempty(g, p, "medium")
             for x in xs:
                 assert blockwise_core_contains(g, p, x, "medium") == nonempty
+
+
+def test_medium_block_nonempty_reads_the_game_table():
+    """Per-block medium nonemptiness reads the game's structure table at the
+    block's mask; the subgame builds its own table, an independent route."""
+    rng = random.Random(12)
+    for n in range(1, 7):
+        for _ in range(6):
+            g = random_game(rng, n)
+            for b in range(1, 1 << n):
+                assert (cores._blockwise_core_nonempty_cached(g, b, "medium")
+                        == medium_core_nonempty(subgame(g, b)[0]))
 
 
 def test_enumerate_stable_partitions(game_a, game_b):
