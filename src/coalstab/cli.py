@@ -14,7 +14,7 @@ import sys
 
 from .cores import MODES, _core_find, core_contains
 from .errors import CoalstabError, EmptyBlockAllocation, InputError
-from .game import DEFAULT_PLAYER_CAP, PAPair, equal_surplus_allocation, worth
+from .game import PAPair, equal_surplus_allocation, worth
 from .io import (load_game, mask_to_names, parse_allocation, parse_partition,
                  partition_names, partition_to_text, rational_json)
 from .lattice import GRAPH_EXPORT_MAX_N, export_graph
@@ -27,8 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table",
                         help="output format (default: table)")
-    common.add_argument("--cap", type=int, default=DEFAULT_PLAYER_CAP,
-                        help=f"player-count cap override (default {DEFAULT_PLAYER_CAP})")
 
     parser = argparse.ArgumentParser(
         prog="coalstab",
@@ -73,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    loaded = load_game(args.game, cap=args.cap)
+    loaded = load_game(args.game)
     if loaded.filled:
         shown = [mask_to_names(m, loaded.players) for m in loaded.filled[:12]]
         extra = len(loaded.filled) - len(shown)

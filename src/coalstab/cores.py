@@ -27,7 +27,7 @@ from typing import Sequence
 from .errors import InputError, NoNonGrandPartition
 from .game import (Game, Partition, _check_allocation, _infeasibility, _most_short,
                    equal_surplus_allocation, prefix_sums, subgame)
-from .io import _mask_from, _partition_from, mask_names, partition_names
+from .io import _json_fields, _mask_from, _partition_from, mask_names, partition_names
 from .rational import Rational
 from .ratlp import _witness_search
 
@@ -70,11 +70,12 @@ class CoreReport:
 
     @classmethod
     def from_json(cls, data: dict, players: Sequence[str] | None = None) -> "CoreReport":
-        n = len(players) if players else None
+        _json_fields(data, {"mode": MODES, "member": bool},
+                     {"coalition": list, "partition": list, "satisfied": list, "reason": str})
         return cls(
             mode=data["mode"], member=data["member"],
             coalition=_mask_from(data.get("coalition"), players),
-            partition=_partition_from(data.get("partition"), players, n),
+            partition=_partition_from(data.get("partition"), players),
             satisfied=None if data.get("satisfied") is None else tuple(
                 _mask_from(group, players) for group in data["satisfied"]),
             reason=data.get("reason"))

@@ -29,6 +29,13 @@ from .rational import Rational, exact
 DEFAULT_PLAYER_CAP = 14
 
 
+def _check_player_count(n) -> int:
+    """``n`` itself when it is a positive int: the one player-count check."""
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"player count must be a positive int, got {n!r}")
+    return n
+
+
 def coalition(players: Iterable[int]) -> int:
     """Bitmask of a collection of player indices."""
     mask = 0
@@ -75,19 +82,16 @@ class Game:
 
     Values live in a dense table indexed by coalition bitmask; coalitions
     missing from the input default to 0, matching the empty-set convention.
-    The table supports up to ``cap`` players (default 14): exhaustive
-    partition scans cost Bell(n) and value tables cost 2^n, so anything
-    larger needs a different tool.
+    Up to ``DEFAULT_PLAYER_CAP`` players, a fixed cap: value tables cost 2^n
+    and structure tables 3^n, so each player past it about triples the
+    unguarded scans, and anything larger needs a different tool.
     """
 
     __slots__ = ("n", "_values", "_memo")
 
-    def __init__(self, n: int, values: Mapping[int, Rational] | Sequence[Rational] = (),
-                 cap: int = DEFAULT_PLAYER_CAP):
-        if not isinstance(n, int) or n < 1:
-            raise InputError(f"player count must be a positive int, got {n!r}")
-        if n > cap:
-            raise CapExceeded(f"player count {n} exceeds the cap of {cap}")
+    def __init__(self, n: int, values: Mapping[int, Rational] | Sequence[Rational] = ()):
+        if _check_player_count(n) > DEFAULT_PLAYER_CAP:
+            raise CapExceeded(f"player count {n} exceeds the cap of {DEFAULT_PLAYER_CAP}")
         size = 1 << n
         table = [0] * size
         if isinstance(values, Mapping):
@@ -144,8 +148,7 @@ class Partition:
     __slots__ = ("n", "blocks")
 
     def __init__(self, n: int, blocks: Iterable[int]):
-        if not isinstance(n, int) or n < 1:
-            raise InputError(f"player count must be a positive int, got {n!r}")
+        _check_player_count(n)
         bl = tuple(blocks)
         full = (1 << n) - 1
         seen = 0

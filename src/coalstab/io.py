@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .game import DEFAULT_PLAYER_CAP, Game, Partition, coalition, members
+from .game import Game, Partition, coalition, members
 from .rational import Rational, exact, format_rational, parse_rational
 
 
@@ -40,7 +40,7 @@ def _reject_duplicate_keys(pairs):
     return dict(pairs)
 
 
-def parse_game_json(text: str, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
+def parse_game_json(text: str) -> GameFile:
     try:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as err:
@@ -48,10 +48,10 @@ def parse_game_json(text: str, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
                          f"{err.msg}") from err
     except ValueError as err:  # a number beyond the interpreter's limit on integer digits
         raise InputError(f"invalid number in game file: {err}") from err
-    return parse_game_dict(doc, cap=cap)
+    return parse_game_dict(doc)
 
 
-def parse_game_dict(doc, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
+def parse_game_dict(doc) -> GameFile:
     if not isinstance(doc, dict):
         raise InputError("game file must be a JSON object")
     players = doc.get("players")
@@ -61,6 +61,10 @@ def parse_game_dict(doc, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
     names = tuple(p.strip() for p in players)
     if any(not p or "," in p or "|" in p for p in names):
         raise InputError('player names must be non-empty and free of "," and "|"')
+    try:
+        "".join(names).encode("utf-8")  # a lone surrogate cannot be printed
+    except UnicodeEncodeError as err:
+        raise InputError(f"player names must be valid Unicode text: {err}") from err
     if len(set(names)) != len(names):
         raise InputError("duplicate player names")
     index = {p: i for i, p in enumerate(names)}
@@ -79,18 +83,18 @@ def parse_game_dict(doc, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
         if isinstance(value, bool) or not isinstance(value, (int, str)):
             raise InputError(f"value for {key!r} must be an integer or a p/q string")
         table[mask] = exact(value)
-    game = Game(len(names), table, cap=cap)
+    game = Game(len(names), table)
     filled = tuple(m for m in range(1, game.full + 1) if m not in table)
     return GameFile(game=game, players=names, filled=filled)
 
 
-def load_game(path, cap: int = DEFAULT_PLAYER_CAP) -> GameFile:
+def load_game(path) -> GameFile:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read game file {path}: {err}") from err
-    return parse_game_json(text, cap=cap)
+    return parse_game_json(text)
 
 
 def names_to_mask(key, index: dict) -> int:
@@ -141,12 +145,26 @@ def _mask_from(group, players) -> int | None:
     return names_to_mask(group, index)
 
 
-def _partition_from(groups, players, n) -> Partition | None:
-    """Invert :func:`partition_names`."""
+def _json_fields(data, required: dict, optional: dict | None = None) -> dict:
+    """Report JSON ``data``, checked: an object whose ``required`` keys hold
+    non-null values, and whose non-null values there and at ``optional`` keys
+    are of their kind: a type, or a tuple of the values allowed."""
+    if not isinstance(data, dict):
+        raise InputError(f"report JSON must be an object, got {type(data).__name__}")
+    for key, kind in (required | (optional or {})).items():
+        value = data.get(key)
+        if (key in required if value is None else not (
+                value in kind if isinstance(kind, tuple) else isinstance(value, kind))):
+            raise InputError(f"report JSON has a missing or bad {key!r}: {value!r}")
+    return data
+
+
+def _partition_from(groups, players) -> Partition | None:
+    """Invert :func:`partition_names`; over indices, n is the highest plus one."""
     if groups is None:
         return None
     blocks = [_mask_from(g, players) for g in groups]
-    size = n if n is not None else max((b.bit_length() for b in blocks), default=0)
+    size = len(players) if players else max((b.bit_length() for b in blocks), default=0)
     return Partition(size, blocks)
 
 

@@ -19,7 +19,7 @@ from itertools import chain, islice, product
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InputError
-from .game import DEFAULT_PLAYER_CAP, Partition, members, prefix_sums
+from .game import DEFAULT_PLAYER_CAP, Partition, _check_player_count, members, prefix_sums
 
 GRAPH_EXPORT_MAX_N = 6
 ENUMERATE_MAX_N = 8
@@ -82,11 +82,11 @@ _partition_cache: dict[int, tuple[Partition, ...]] = {}
 
 
 def all_partitions(n: int) -> tuple[Partition, ...]:
-    """Materialized canonical enumeration, cached for small n."""
-    if n > ENUMERATE_MAX_N:
-        raise CapExceeded(
-            f"refusing to materialize all partitions for n={n} "
-            f"(supported up to n={ENUMERATE_MAX_N}); use enumerate_partitions")
+    """Materialized canonical enumeration, cached; the one Bell(n) scan
+    guard: refused above ``ENUMERATE_MAX_N`` players."""
+    if _check_player_count(n) > ENUMERATE_MAX_N:
+        raise CapExceeded(f"refusing to scan Bell({n}) partitions "
+                          f"(guard is n <= {ENUMERATE_MAX_N})")
     got = _partition_cache.get(n)
     if got is None:
         got = tuple(Partition._unchecked(n, bl) for bl in _partitions_of_mask((1 << n) - 1))
@@ -100,9 +100,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     Grouped by block count ascending, canonical order within each group;
     Bell(n) partitions in total, refused above ``DEFAULT_PLAYER_CAP``.
     """
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"player count must be a positive int, got {n!r}")
-    if n > DEFAULT_PLAYER_CAP:
+    if _check_player_count(n) > DEFAULT_PLAYER_CAP:
         raise CapExceeded(
             f"refusing to enumerate Bell({n}) partitions (cap {DEFAULT_PLAYER_CAP})")
     for bl in _partitions_of_mask((1 << n) - 1):
@@ -251,9 +249,7 @@ def _node_name(p: Partition) -> str:
 def export_graph(n: int) -> str:
     """DOT digraph of the coalition-structure graph: one node per partition,
     one arc per one-step fission and per one-step fusion."""
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"player count must be a positive int, got {n!r}")
-    if n > GRAPH_EXPORT_MAX_N:
+    if _check_player_count(n) > GRAPH_EXPORT_MAX_N:
         raise CapExceeded(f"refusing to export a graph with Bell({n}) nodes "
                           f"(guard is n <= {GRAPH_EXPORT_MAX_N})")
     parts = all_partitions(n)

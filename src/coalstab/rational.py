@@ -32,6 +32,8 @@ def exact(value) -> Rational:
 
 def parse_rational(text: str) -> Rational:
     """Parse ``"7"`` or ``"p/q"`` into an exact rational."""
+    if not isinstance(text, str):
+        raise InputError(f"cannot parse rational {text!r}: expected a string")
     m = _RATIONAL_RE.match(text.strip())
     if m is None:
         raise InputError(f"cannot parse rational {text!r}: expected an integer or p/q")

@@ -25,9 +25,9 @@ from .cores import (_structure_blocks, _structure_table, _table_blocks,
 from .errors import NoCoarsening
 from .game import (Game, PAPair, Partition, _check_partition, equal_surplus_allocation,
                    prefix_sums)
-from .io import _partition_from, partition_names
+from .io import _json_fields, _partition_from, partition_names
 from .lattice import _sorted_blocks
-from .rational import Rational, format_rational, parse_rational
+from .rational import Rational, exact, format_rational
 
 FISSION = "fission"
 FUSION = "fusion"
@@ -68,15 +68,17 @@ class SamTrace:
 
     @classmethod
     def from_json(cls, data: dict, players: Sequence[str] | None = None) -> "SamTrace":
-        n = len(players) if players else None
-        part = lambda groups: _partition_from(groups, players, n)
+        _json_fields(data, {"start": list, "steps": list, "terminal": list, "allocation": list})
+        part = lambda groups: _partition_from(groups, players)
+        kinds = {"from": list, "to": list, "from_worth": object, "to_worth": object,
+                 "direction": (FISSION, FUSION)}
         steps = tuple(SamStep(source=part(s["from"]), target=part(s["to"]),
-                              source_worth=parse_rational(s["from_worth"]),
-                              target_worth=parse_rational(s["to_worth"]),
+                              source_worth=exact(s["from_worth"]),
+                              target_worth=exact(s["to_worth"]),
                               direction=s["direction"])
-                      for s in data["steps"])
+                      for s in (_json_fields(step, kinds) for step in data["steps"]))
         terminal = part(data["terminal"])
-        allocation = tuple(parse_rational(v) for v in data["allocation"])
+        allocation = tuple(map(exact, data["allocation"]))
         return cls(start=part(data["start"]), steps=steps, terminal=terminal,
                    terminal_pair=PAPair(terminal, allocation))
 

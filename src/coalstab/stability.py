@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cores import CoreReport, _blockwise_core_nonempty_cached, _check_mode, core_contains
-from .errors import CapExceeded, InfeasiblePair
+from .cores import (MODES, CoreReport, _blockwise_core_nonempty_cached, _check_mode,
+                    core_contains)
+from .errors import InfeasiblePair
 from .game import (Game, PAPair, Partition, _check_allocation, _check_partition,
                    is_partition_allocation, members, subgame)
-from .io import _partition_from, partition_names
-from .lattice import ENUMERATE_MAX_N, _sorted_blocks, all_partitions
+from .io import _json_fields, _partition_from, partition_names
+from .lattice import _sorted_blocks, all_partitions
 from .rational import Rational
 
 
@@ -61,13 +62,15 @@ class StabilityReport:
 
     @classmethod
     def from_json(cls, data: dict, players: Sequence[str] | None = None) -> "StabilityReport":
-        n = len(players) if players else None
+        _json_fields(data, {"mode": MODES, "feasible": bool, "stable": bool},
+                     {"fission_resistant": bool, "fusion_resistant": bool,
+                      "fission_certificate": list, "fusion_certificate": list, "reason": str})
         return cls(
             mode=data["mode"], feasible=data["feasible"], stable=data["stable"],
             fission_resistant=data.get("fission_resistant"),
             fusion_resistant=data.get("fusion_resistant"),
-            fission_certificate=_partition_from(data.get("fission_certificate"), players, n),
-            fusion_certificate=_partition_from(data.get("fusion_certificate"), players, n),
+            fission_certificate=_partition_from(data.get("fission_certificate"), players),
+            fusion_certificate=_partition_from(data.get("fusion_certificate"), players),
             reason=data.get("reason"))
 
 
@@ -201,11 +204,9 @@ def stable_contains(game: Game, pair: PAPair, mode: str) -> StabilityReport:
 def enumerate_stable_partitions(game: Game, mode: str) -> Iterator[Partition]:
     """Every partition that supports a stable pair in the given mode, in
     canonical order: worth dominating all coarsenings (the cheap 2^q scan,
-    checked first) and blockwise core nonempty."""
+    checked first) and blockwise core nonempty. The scan is
+    :func:`lattice.all_partitions`, refused by its Bell(n) guard."""
     _check_mode(mode)
-    if game.n > ENUMERATE_MAX_N:
-        raise CapExceeded(f"refusing to scan Bell({game.n}) partitions "
-                          f"(guard is n <= {ENUMERATE_MAX_N})")
     for p in all_partitions(game.n):
         if dominates_coarsenings(game, p) and blockwise_core_nonempty(game, p, mode):
             yield p

@@ -35,7 +35,7 @@ API = {
     "format_rational": "(value)",
     "parse_rational": "(text)",
     "DEFAULT_PLAYER_CAP": None,
-    "Game": "(n, values=(), cap=14)",
+    "Game": "(n, values=())",
     "PAPair": "(partition, allocation)",
     "Partition": "(n, blocks)",
     "coalition": "(players)",
@@ -93,9 +93,9 @@ API = {
     "sam_run": "(game, start=None)",
     "sam_step": "(game, p)",
     "GameFile": "(game, players, filled)",
-    "load_game": "(path, cap=14)",
+    "load_game": "(path)",
     "parse_allocation": "(text, n)",
-    "parse_game_json": "(text, cap=14)",
+    "parse_game_json": "(text)",
     "parse_partition": "(text, players)",
 }
 

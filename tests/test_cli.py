@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalstab import CoreReport, PAPair, Partition, SamTrace, StabilityReport
 from coalstab import (load_game, sam_run, stable_contains, weak_core_contains)
@@ -207,9 +214,10 @@ def test_cap_override(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "core", "find", "--mode", "medium", str(path))
     assert code == 2 and "cap" in err
-    code, out, _ = run(capsys, "core", "find", "--mode", "medium", str(path),
-                       "--cap", "15")
-    assert code == 0  # all-zero game: grand value ties every partition
+    with pytest.raises(SystemExit) as exited:  # the cap is a constant, not an option
+        main(["core", "find", "--mode", "medium", str(path), "--cap", "15"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --cap 15" in capsys.readouterr().err
 
 
 def test_non_ascii_digits_exit_2(capsys, tmp_path):
@@ -243,3 +251,51 @@ def test_internal_error_exits_3(capsys, monkeypatch, game_b_path):
     code, out, err = run(capsys, "core", "find", "--mode", "strong", str(game_b_path))
     assert code == 3 and out == ""
     assert err.startswith("error: internal error:") and "injected fault" in err
+
+
+# Fuzzed game documents: valid games, names and values of every JSON type,
+# unknown and empty names, over-cap player lists, non-object documents and raw
+# bytes. Valid player lists stay at n <= 4, so every command answers in
+# milliseconds.
+_names = st.sampled_from(["A", "B", "C", "D"])
+_bad_names = st.sampled_from(["", " ", "A,B", "A|B", "\ud800", None, 3, 1.5, ["A"]])
+_good_values = st.integers(-5, 5) | st.sampled_from(["1/2", "-7/3", "4"])
+_values = _good_values | st.sampled_from([None, 1.5, True, [1], {}, "1/0", "x", "", "1e3"])
+_keys = st.lists(st.sampled_from(["A", "B", "C", "D", "Z", "", " "]), max_size=3).map(",".join)
+_players = st.one_of(
+    st.lists(_names, max_size=4),
+    st.lists(_names | _bad_names, max_size=4),
+    st.integers(15, 16).map(lambda n: [f"p{i}" for i in range(n)]),
+    st.sampled_from([None, "A", 3, {"A": 1}]))
+_valid = st.lists(_names, min_size=1, max_size=4, unique=True).flatmap(
+    lambda players: st.fixed_dictionaries({"players": st.just(players), "values": st.dictionaries(
+        st.lists(st.sampled_from(players), min_size=1, unique=True).map(",".join),
+        _good_values, max_size=6)}))
+_documents = st.one_of(
+    _valid.map(lambda doc: json.dumps(doc).encode()),
+    st.fixed_dictionaries({"players": _players}, optional={
+        "values": st.dictionaries(_keys, _values, max_size=6) | st.sampled_from([None, [], 3]),
+        "extra": st.just(1)}).map(lambda doc: json.dumps(doc).encode()),
+    st.sampled_from([[], 3, "game", None]).map(lambda doc: json.dumps(doc).encode()),
+    st.binary(max_size=24))
+_commands = st.sampled_from([
+    ["core", "find"], ["core", "check", "--alloc", "1,0"], ["enumerate"],
+    ["stability", "--partition", "A|B"], ["sam"], ["graph"]])
+
+
+@settings(max_examples=200)
+@given(document=_documents, command=_commands, mode=st.sampled_from(["strong", "medium", "weak"]))
+def test_cli_exits_with_a_verdict_or_input_error_on_any_document(document, command, mode):
+    """Any game file gives exit 0, 1 or 2, never 3 and never a traceback.
+    Stdout encodes strictly as UTF-8, like a terminal's, so a name that cannot
+    be printed is found here too."""
+    argv = command + (["--mode", mode] if command[0] not in ("sam", "graph") else [])
+    out, err = io.TextIOWrapper(io.BytesIO(), "utf-8"), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "game.json"
+        path.write_bytes(document)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + [str(path)])
+            out.flush()
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from coalstab import (CapExceeded, EmptyBlockAllocation, Game, InputError, Partition,
-                      coalition, coalition_value, equal_surplus_allocation,
-                      is_efficient_allocation, is_partition_allocation, members,
-                      subgame, worth)
+from coalstab import (DEFAULT_PLAYER_CAP, CapExceeded, EmptyBlockAllocation, Game,
+                      InputError, Partition, coalition, coalition_value,
+                      equal_surplus_allocation, is_efficient_allocation,
+                      is_partition_allocation, members, subgame, worth)
 from helpers import random_game
 
 
@@ -38,7 +38,7 @@ def test_game_construction_validation():
         Game(0)
     with pytest.raises(CapExceeded):
         Game(15)
-    Game(15, cap=15)  # override is allowed
+    Game(DEFAULT_PLAYER_CAP)  # the cap itself is allowed
     with pytest.raises(InputError):
         Game(2, {0b100: 1})
     with pytest.raises(InputError):

@@ -115,3 +115,9 @@ def test_oversized_numbers_are_input_errors():
     for raw in (digits, '"%s/3"' % digits, '"-%s"' % digits):
         with pytest.raises(InputError):
             parse_game_json('{"players": ["A"], "values": {"A": %s}}' % raw)
+
+
+def test_parse_rational_refuses_non_strings():
+    for value in (3, None, b"3", 1.5, ["3"]):
+        with pytest.raises(InputError, match="expected a string"):
+            parse_rational(value)

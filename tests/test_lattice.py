@@ -1,8 +1,9 @@
 import pytest
 
-from coalstab import (CapExceeded, Partition, all_partitions, enumerate_partitions,
-                      export_graph, fission_neighborhood, fusion_neighborhood,
-                      is_refinement, meet, members, one_step_fission, one_step_fusion, path)
+from coalstab import (CapExceeded, Game, InputError, Partition, all_partitions,
+                      enumerate_partitions, export_graph, fission_neighborhood,
+                      fusion_neighborhood, is_refinement, meet, members, one_step_fission,
+                      one_step_fusion, path)
 from coalstab.lattice import FISSION, FUSION, _partitions_of_mask
 from helpers import bell_numbers, partitions_by_insertion, refines_oracle
 
@@ -40,6 +41,21 @@ def test_enumeration_examples():
 def test_enumeration_cap():
     with pytest.raises(CapExceeded):
         next(enumerate_partitions(15))
+
+
+def test_player_count_check_is_shared():
+    """Every entry point that takes a player count refuses the same inputs
+    with the same error, all_partitions included; its Bell(n) guard is the
+    one enumerate_stable_partitions relies on."""
+    takers = (Game, lambda n: Partition(n, ()), lambda n: next(enumerate_partitions(n)),
+              all_partitions, export_graph)
+    for n in (0, -1, "3", 2.0, None):
+        for take in takers:
+            with pytest.raises(InputError, match="player count must be a positive int"):
+                take(n)
+    with pytest.raises(CapExceeded, match=r"^refusing to scan Bell\(9\) partitions "
+                                          r"\(guard is n <= 8\)$"):
+        all_partitions(9)
 
 
 def test_partitions_of_sparse_masks():

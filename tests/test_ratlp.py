@@ -144,7 +144,7 @@ def test_balancedness_against_vertex_oracle():
 def test_balancedness_cap():
     # no guard of its own below the player cap: the all-zero game needs one
     # 13-variable solve
-    assert balancedness_value(Game(13, cap=13)) == 0
+    assert balancedness_value(Game(13)) == 0
 
 
 def test_balancedness_matches_covering_program():

@@ -99,9 +99,7 @@ def test_partition_names_round_trip(data):
     p = data.draw(partitions(n))
     players = data.draw(players_for(n))
     rendered = through_json({"p": partition_names(p, players)})["p"]
-    assert _partition_from(rendered, players, n) == p
-    if players is None:  # index rendering infers n from the highest player
-        assert _partition_from(rendered, None, None) == p
+    assert _partition_from(rendered, players) == p  # indices: n from the highest player
 
 
 @settings(max_examples=25)
@@ -151,3 +149,61 @@ def test_report_json_decodes_names_strictly():
         CoreReport.from_json({"mode": "strong", "member": False, "coalition": ["D"]}, players)
     with pytest.raises(InputError):
         CoreReport.from_json({"mode": "medium", "member": False, "partition": []})
+
+
+HOUSEHOLD_TRACE = sam_run(Game(3, {0b010: 4, 0b101: 6, 0b111: 8}))
+SAM_DOC = HOUSEHOLD_TRACE.to_json()  # one fusion step; worths and allocation as strings
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+STRICT_CASES = {
+    "core-unknown-mode": (CoreReport, {"mode": "bogus", "member": True}),
+    "core-non-bool-member": (CoreReport, {"mode": "strong", "member": "yes"}),
+    "core-missing-member": (CoreReport, {"mode": "strong"}),
+    "core-non-str-reason": (CoreReport, {"mode": "strong", "member": False, "reason": 5}),
+    "core-non-dict": (CoreReport, ["strong", True]),
+    "core-non-list-partition": (CoreReport, {"mode": "medium", "member": False,
+                                             "partition": 5}),
+    "stability-unknown-mode": (StabilityReport, {"mode": "x", "feasible": True,
+                                                 "stable": False}),
+    "stability-non-bool-feasible": (StabilityReport, {"mode": "medium", "feasible": 1,
+                                                      "stable": False}),
+    "stability-non-bool-stable": (StabilityReport, {"mode": "medium", "feasible": True,
+                                                    "stable": "no"}),
+    "stability-non-bool-resistance": (StabilityReport, {
+        "mode": "weak", "feasible": True, "stable": True, "fusion_resistant": "yes"}),
+    "stability-missing-stable": (StabilityReport, {"mode": "weak", "feasible": False}),
+    "stability-non-dict": (StabilityReport, None),
+    "sam-unknown-direction": (SamTrace, {**SAM_DOC, "steps": [
+        {**SAM_DOC["steps"][0], "direction": "sideways"}]}),
+    "sam-missing-terminal": (SamTrace, _without(SAM_DOC, "terminal")),
+    "sam-missing-step-key": (SamTrace, {**SAM_DOC, "steps": [
+        _without(SAM_DOC["steps"][0], "to_worth")]}),
+    "sam-non-dict-step": (SamTrace, {**SAM_DOC, "steps": [["0"]]}),
+    "sam-non-dict": (SamTrace, "trace"),
+    "sam-float-allocation": (SamTrace, {**SAM_DOC, "allocation": [3.0, 4, 3]}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_report_json_decoding_refuses_malformed_fields(case):
+    """A report field of the wrong kind, a missing required key or a
+    non-object document is an input error, never a report or a KeyError."""
+    report_type, data = STRICT_CASES[case]
+    with pytest.raises(InputError):
+        report_type.from_json(data)
+
+
+def test_sam_trace_decodes_numeric_rationals():
+    """Worths and allocation entries decode as JSON numbers too, the form
+    rational_json writes for ints."""
+    trace = HOUSEHOLD_TRACE
+    doc = {**SAM_DOC,
+           "allocation": [rational_json(v) for v in trace.terminal_pair.allocation],
+           "steps": [{**s, "from_worth": rational_json(t.source_worth),
+                      "to_worth": rational_json(t.target_worth)}
+                     for s, t in zip(SAM_DOC["steps"], trace.steps)]}
+    assert SamTrace.from_json(doc) == trace
