@@ -81,12 +81,14 @@ def _load(args):
     return loaded
 
 
-def _emit(args, payload: dict, table: str):
+def _emit(args, payload, lines) -> None:
+    """Print the output ``--format`` asks for. ``payload`` (the JSON object)
+    and ``lines`` (the table rows) are callables, and only the chosen one
+    runs: a table line can cost a 2^n join the JSON never needs."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(table, end="")
-    return None
+        print("".join(f"{ln}\n" for ln in lines()), end="")
 
 
 def _cmd_core(args) -> int:
@@ -97,29 +99,36 @@ def _cmd_core(args) -> int:
             raise InputError("core check needs --alloc")
         x = parse_allocation(args.alloc, game.n)
         report = core_contains(game, x, args.mode)
-        payload = {"command": "core-check", "players": list(players)}
-        payload.update(report.to_json(players))
-        lines = [f"mode: {report.mode}", f"member: {'yes' if report.member else 'no'}"]
-        if report.coalition is not None:
-            lines.append(f"blocking coalition: {mask_to_names(report.coalition, players)}")
-        if report.partition is not None:
-            lines.append(f"violating partition: {partition_to_text(report.partition, players)}")
-        if report.satisfied is not None:
-            lines.append("satisfied coalitions: "
-                         + "; ".join(mask_to_names(m, players) for m in report.satisfied))
-        if report.reason:
-            lines.append(f"reason: {report.reason}")
-        _emit(args, payload, "".join(f"{ln}\n" for ln in lines))
+
+        def lines():
+            out = [f"mode: {report.mode}", f"member: {'yes' if report.member else 'no'}"]
+            if report.coalition is not None:
+                out.append(f"blocking coalition: {mask_to_names(report.coalition, players)}")
+            if report.partition is not None:
+                out.append(f"violating partition: {partition_to_text(report.partition, players)}")
+            if report.satisfied is not None:
+                out.append("satisfied coalitions: "
+                           + "; ".join(mask_to_names(m, players) for m in report.satisfied))
+            if report.reason:
+                out.append(f"reason: {report.reason}")
+            return out
+
+        _emit(args, lambda: {"command": "core-check", "players": list(players)}
+              | report.to_json(players), lines)
         return 0 if report.member else 1
 
     nonempty, witness = _core_find(game, args.mode)
-    payload = {"command": "core-find", "mode": args.mode, "players": list(players),
-               "nonempty": nonempty,
-               "witness": None if witness is None else [rational_json(v) for v in witness]}
-    lines = [f"mode: {args.mode}", f"nonempty: {'yes' if nonempty else 'no'}"]
-    if witness is not None:
-        lines.append("witness: " + ",".join(format_rational(v) for v in witness))
-    _emit(args, payload, "".join(f"{ln}\n" for ln in lines))
+
+    def lines():
+        out = [f"mode: {args.mode}", f"nonempty: {'yes' if nonempty else 'no'}"]
+        if witness is not None:
+            out.append("witness: " + ",".join(format_rational(v) for v in witness))
+        return out
+
+    _emit(args, lambda: {
+        "command": "core-find", "mode": args.mode, "players": list(players),
+        "nonempty": nonempty,
+        "witness": None if witness is None else [rational_json(v) for v in witness]}, lines)
     return 0 if nonempty else 1
 
 
@@ -133,34 +142,37 @@ def _cmd_stability(args) -> int:
         try:
             x = equal_surplus_allocation(game, partition)
         except EmptyBlockAllocation as err:
-            payload = {"command": "stability", "mode": args.mode,
-                       "players": list(players),
-                       "partition": partition_names(partition, players),
-                       "feasible": False, "stable": False, "reason": str(err)}
-            _emit(args, payload, f"stable: no\nfeasible: no\nreason: {err}\n")
+            _emit(args, lambda: {"command": "stability", "mode": args.mode,
+                                 "players": list(players),
+                                 "partition": partition_names(partition, players),
+                                 "feasible": False, "stable": False, "reason": str(err)},
+                  lambda: ["stable: no", "feasible: no", f"reason: {err}"])
             return 1
     report = stable_contains(game, PAPair(partition, x), args.mode)
-    payload = {"command": "stability", "players": list(players),
-               "allocation": [rational_json(v) for v in x]}
-    payload.update(report.to_json(players))
-    lines = [f"mode: {report.mode}",
-             f"partition: {partition_to_text(partition, players)}",
-             "allocation: " + ",".join(format_rational(v) for v in x),
-             f"stable: {'yes' if report.stable else 'no'}"]
-    if not report.feasible:
-        lines.append("feasible: no")
-    if report.fission_resistant is not None:
-        lines.append(f"fission-resistant: {'yes' if report.fission_resistant else 'no'}")
-        lines.append(f"fusion-resistant: {'yes' if report.fusion_resistant else 'no'}")
-    if report.fission_certificate is not None:
-        lines.append("defeating refinement: "
-                     + partition_to_text(report.fission_certificate, players))
-    if report.fusion_certificate is not None:
-        lines.append("defeating coarsening: "
-                     + partition_to_text(report.fusion_certificate, players))
-    if report.reason:
-        lines.append(f"reason: {report.reason}")
-    _emit(args, payload, "".join(f"{ln}\n" for ln in lines))
+
+    def lines():
+        out = [f"mode: {report.mode}",
+               f"partition: {partition_to_text(partition, players)}",
+               "allocation: " + ",".join(format_rational(v) for v in x),
+               f"stable: {'yes' if report.stable else 'no'}"]
+        if not report.feasible:
+            out.append("feasible: no")
+        if report.fission_resistant is not None:
+            out.append(f"fission-resistant: {'yes' if report.fission_resistant else 'no'}")
+            out.append(f"fusion-resistant: {'yes' if report.fusion_resistant else 'no'}")
+        if report.fission_certificate is not None:
+            out.append("defeating refinement: "
+                       + partition_to_text(report.fission_certificate, players))
+        if report.fusion_certificate is not None:
+            out.append("defeating coarsening: "
+                       + partition_to_text(report.fusion_certificate, players))
+        if report.reason:
+            out.append(f"reason: {report.reason}")
+        return out
+
+    _emit(args, lambda: {"command": "stability", "players": list(players),
+                         "allocation": [rational_json(v) for v in x]}
+          | report.to_json(players), lines)
     return 0 if report.stable else 1
 
 
@@ -169,19 +181,22 @@ def _cmd_sam(args) -> int:
     game, players = loaded.game, loaded.players
     start = parse_partition(args.start, players) if args.start else None
     trace = sam_run(game, start)
-    payload = {"command": "sam", "players": list(players)}
-    payload.update(trace.to_json(players))
-    lines = [f"start: {partition_to_text(trace.start, players)}"]
-    for k, step in enumerate(trace.steps, 1):
-        lines.append(f"step {k}: {step.direction} "
-                     f"{partition_to_text(step.source, players)} "
-                     f"(worth {format_rational(step.source_worth)}) -> "
-                     f"{partition_to_text(step.target, players)} "
-                     f"(worth {format_rational(step.target_worth)})")
-    lines.append(f"terminal: {partition_to_text(trace.terminal, players)}")
-    lines.append("allocation: "
-                 + ",".join(format_rational(v) for v in trace.terminal_pair.allocation))
-    _emit(args, payload, "".join(f"{ln}\n" for ln in lines))
+
+    def lines():
+        out = [f"start: {partition_to_text(trace.start, players)}"]
+        for k, step in enumerate(trace.steps, 1):
+            out.append(f"step {k}: {step.direction} "
+                       f"{partition_to_text(step.source, players)} "
+                       f"(worth {format_rational(step.source_worth)}) -> "
+                       f"{partition_to_text(step.target, players)} "
+                       f"(worth {format_rational(step.target_worth)})")
+        out.append(f"terminal: {partition_to_text(trace.terminal, players)}")
+        out.append("allocation: "
+                   + ",".join(format_rational(v) for v in trace.terminal_pair.allocation))
+        return out
+
+    _emit(args, lambda: {"command": "sam", "players": list(players)} | trace.to_json(players),
+          lines)
     return 0
 
 
@@ -208,14 +223,12 @@ def _cmd_enumerate(args) -> int:
     loaded = _load(args)
     game, players = loaded.game, loaded.players
     found = list(enumerate_stable_partitions(game, args.mode))
-    payload = {"command": "enumerate", "mode": args.mode, "players": list(players),
-               "partitions": [{"partition": partition_names(p, players),
-                               "worth": rational_json(worth(game, p))}
-                              for p in found]}
-    lines = [f"{partition_to_text(p, players)}  worth {format_rational(worth(game, p))}"
-             for p in found]
-    lines.append(f"({len(found)} stable partition(s), mode {args.mode})")
-    _emit(args, payload, "".join(f"{ln}\n" for ln in lines))
+    _emit(args, lambda: {
+        "command": "enumerate", "mode": args.mode, "players": list(players),
+        "partitions": [{"partition": partition_names(p, players),
+                        "worth": rational_json(worth(game, p))} for p in found]},
+          lambda: [f"{partition_to_text(p, players)}  worth {format_rational(worth(game, p))}"
+                   for p in found] + [f"({len(found)} stable partition(s), mode {args.mode})"])
     return 0 if found else 1
 
 

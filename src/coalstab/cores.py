@@ -5,23 +5,28 @@ the efficient set exactly when the grand value weakly dominates every other
 partition's total worth; the weak core survives as long as every non-grand
 partition contains at least one satisfied block.
 
-Exponential costs, by operation: membership scans cost 2^n (strong) or 3^n
-(weak deficiency table); the optimal-structure table costs 3^n once per game
-and is cached, and the whole medium core reads it: nonemptiness compares
-its grand entry with v(N), a failed membership takes its argmax as the
-certificate, and the best non-grand worth is one 2^(n-1) scan of it.
+Exponential costs, by operation: membership scans cost 2^n (strong) or 2^n
+plus a deficiency cover of at most 3^n steps (weak); the optimal-structure
+table costs 3^n once per game and is cached, and the whole medium core reads
+it: nonemptiness compares its grand entry with v(N), a failed membership
+takes its argmax as the certificate, and the best non-grand worth is one
+2^(n-1) scan of it.
 Strong and weak nonemptiness are :func:`ratlp._witness_search` over exact
 n-variable covering LPs, and :func:`_core_find` picks by mode: a witness
 outside the core branches on coalitions it leaves short, the most short one
 (strong; without the efficiency row it is :func:`ratlp.balancedness_value`)
-or each block of its deficient partition (weak, a 3^n table per node). Every
-3^n table is :func:`subset_structure_table` over some weights: the game's
-values, or 0/-1 marks of the coalitions an allocation leaves deficient.
+or each block of its deficient partition (weak, one deficiency cover per
+node). The one 3^n table is :func:`subset_structure_table` over the game's
+values. Weak membership instead covers the grand mask with the coalitions
+an allocation leaves deficient (:func:`_deficiency_cover`): one 2^n scan
+collects them, and the cover's work is bounded by the same 3^n but follows
+only the masks those coalitions reach.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Sequence
 
 from .errors import InputError, NoNonGrandPartition
@@ -227,27 +232,76 @@ def medium_core_nonempty(game: Game) -> bool:
     return val[game.full] == game._values[game.full]
 
 
+def _deficiency_cover(deficient: Sequence[bool], n: int) -> tuple[int, ...] | None:
+    """Blocks of the fewest-block partition of the grand mask into coalitions
+    marked ``deficient``, sorted by smallest member; None when there is none.
+
+    Ties go as in :func:`subset_structure_table` over weights 0 (deficient)
+    and -1 (the rest), so the partition is that table's argmax whenever the
+    argmax is worth 0. The recursion runs top down from the grand mask and
+    memoizes only the masks it reaches. At mask s the candidate first blocks
+    are the deficient coalitions inside s holding its lowest player, taken
+    from that player's list or from s's submasks, whichever is shorter, so
+    it never examines more (mask, block) pairs than the table has cells.
+    """
+    full = (1 << n) - 1
+    by_low = [[] for _ in range(n)]
+    for t in range(1, full):
+        if deficient[t]:
+            by_low[(t & -t).bit_length() - 1].append(t)
+    uncovered = n + 1  # more blocks than any cover has
+    nblocks = [-1] * (full + 1)
+    nblocks[0] = 0
+    first = [0] * (full + 1)
+
+    def cover(s: int) -> int:
+        low = s & -s
+        rest = s ^ low
+        listed = by_low[low.bit_length() - 1]
+        if len(listed) <= 1 << rest.bit_count():
+            candidates = [t for t in listed if t & s == t]
+        else:
+            candidates = []
+            sub = rest
+            while True:
+                if deficient[low | sub]:
+                    candidates.append(low | sub)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+        best_nb, best_t = uncovered, 0
+        for t in candidates:
+            nb = nblocks[s ^ t]
+            if nb < 0:
+                nb = cover(s ^ t)
+            nb += 1
+            if nb < best_nb or (nb == best_nb and _canonical_prefer(t, best_t)):
+                best_nb, best_t = nb, t
+        nblocks[s] = best_nb
+        first[s] = best_t
+        return best_nb
+
+    return None if cover(full) == uncovered else _table_blocks(first, full)
+
+
 def weak_core_contains(game: Game, x: Sequence[Rational]) -> CoreReport:
     """Weak-core membership: efficient, and every non-grand partition keeps at
     least one satisfied block.
 
-    Failure is decided by the structure table over weights 0 for strictly
-    deficient coalitions and -1 for the rest: the allocation fails exactly
-    when some partition is worth 0, and that table's argmax, a fewest-block
-    partition of deficient blocks, is the certificate. Efficiency keeps the
-    grand coalition out of it.
+    The allocation fails exactly when some partition has only strictly
+    deficient blocks; :func:`_deficiency_cover` finds a fewest-block one,
+    the certificate. Efficiency keeps the grand coalition out of it.
     """
     xs = _check_allocation(game, x)
     reason = _infeasibility(game, xs, (game.full,))
     if reason:
         return CoreReport(WEAK, False, reason=reason)
-    n, full, vals = game.n, game.full, game._values
-    sums = prefix_sums(xs, n)
-    weights = [0 if sums[t] < vals[t] else -1 for t in range(full + 1)]
-    val, _, first = subset_structure_table(weights, n)
-    if val[full] == 0:
-        return CoreReport(WEAK, False, partition=Partition._unchecked(n, _table_blocks(first, full)))
-    satisfied = tuple(c for c in range(1, full) if sums[c] >= vals[c])
+    n, full = game.n, game.full
+    deficient = list(map(lt, prefix_sums(xs, n), game._values))
+    blocks = _deficiency_cover(deficient, n)
+    if blocks is not None:
+        return CoreReport(WEAK, False, partition=Partition._unchecked(n, blocks))
+    satisfied = tuple(c for c in range(1, full) if not deficient[c])
     return CoreReport(WEAK, True, satisfied=satisfied)
 
 

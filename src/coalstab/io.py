@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import InputError
-from .game import Game, Partition, coalition, members
+from .game import Game, Partition, members
 from .rational import Rational, exact, format_rational, parse_rational
 
 
@@ -80,7 +80,7 @@ def parse_game_dict(doc) -> GameFile:
         mask = names_to_mask(key, index)
         if mask in table:
             raise InputError(f"coalition key {key!r} repeats an earlier coalition")
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
+        if not isinstance(value, (int, str)):
             raise InputError(f"value for {key!r} must be an integer or a p/q string")
         table[mask] = exact(value)
     game = Game(len(names), table)
@@ -99,17 +99,22 @@ def load_game(path) -> GameFile:
 
 def names_to_mask(key, index: dict) -> int:
     """Mask of a coalition named once per member, each a key of ``index``:
-    comma-joined (game files, CLI text) or as a list (report JSON)."""
-    parts = [p.strip() for p in key.split(",")] if isinstance(key, str) else key
-    seen = set()
-    for p in parts:
-        if p not in index:
+    comma-joined (game files, CLI text) or as a list (report JSON). One pass
+    over the names; the first faulty name is reported."""
+    text = isinstance(key, str)
+    mask = 0
+    for p in key.split(",") if text else key:
+        if text:
+            p = p.strip()
+        i = index.get(p)
+        if i is None:
             what = "empty player name" if p == "" else f"unknown player {p!r}"
             raise InputError(f"{what} in coalition key {key!r}")
-        if p in seen:
+        bit = 1 << i
+        if mask & bit:
             raise InputError(f"player {p!r} repeated in coalition key {key!r}")
-        seen.add(p)
-    return coalition(index[p] for p in parts)
+        mask |= bit
+    return mask
 
 
 def mask_to_names(mask: int, players) -> str:

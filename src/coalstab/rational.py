@@ -2,7 +2,8 @@
 
 Every quantity in this package is an exact rational: a plain ``int`` where
 possible, a ``fractions.Fraction`` otherwise. Floats are rejected outright
-because membership tests compare against sharp inequality boundaries.
+because membership tests compare against sharp inequality boundaries, and
+bools because ``True`` is a flag, not a worth.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ def exact(value) -> Rational:
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, int):  # bool and other int subclasses
+    if isinstance(value, bool):
+        raise InputError(f"not an exact rational: {value!r} (bools are not accepted)")
+    if isinstance(value, int):  # other int subclasses
         return int(value)
     raise InputError(f"not an exact rational: {value!r} (floats are not accepted)")
 

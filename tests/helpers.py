@@ -10,9 +10,11 @@ compares the per-block route against; :func:`covering_value`, the whole
 (2^n - 1)-weight covering program through the library's simplex, which
 shares no row generation with the strong-core search;
 :func:`best_coarsening_pairwise`, which runs the library's structure table
-once per forced pair-merge; and :func:`weak_core_nonempty_unhit`, the
+once per forced pair-merge; :func:`weak_core_nonempty_unhit`, the
 library's earlier weak-core search, which branches on unhit partitions over
-the library's feasibility LP.
+the library's feasibility LP; and :func:`weak_certificate_table`, the full
+3^n structure table over 0/-1 deficiency weights that weak membership ran
+before its sparse cover.
 """
 
 from fractions import Fraction
@@ -169,6 +171,18 @@ def _unhit_partition(game: Game, required: frozenset) -> tuple[int, ...] | None:
     first, canonical among those; None when every non-grand partition is hit."""
     full = game.full
     weights = [-1 if t in required or t == full else 0 for t in range(full + 1)]
+    val, _, first = subset_structure_table(weights, game.n)
+    return _table_blocks(first, full) if val[full] == 0 else None
+
+
+def weak_certificate_table(game: Game, x) -> tuple[int, ...] | None:
+    """The weak-core certificate of an efficient, individually rational
+    ``x`` by the dense route: the structure table over weights 0 for strictly
+    deficient coalitions and -1 for the rest, whose argmax is a fewest-block
+    all-deficient partition when it is worth 0; None when none exists."""
+    full = game.full
+    sums = allocation_sums(x, game.n)
+    weights = [0 if sums[t] < game.value(t) else -1 for t in range(full + 1)]
     val, _, first = subset_structure_table(weights, game.n)
     return _table_blocks(first, full) if val[full] == 0 else None
 

@@ -228,10 +228,21 @@ def test_non_ascii_digits_exit_2(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_oversized_numbers_exit_2_without_traceback(tmp_path):
+def _checkout_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = pathlib.Path(__file__).parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "coalstab", "--help"], capture_output=True,
+                          text=True, env=_checkout_env(), timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: coalstab")
+
+
+def test_oversized_numbers_exit_2_without_traceback(tmp_path):
+    env = _checkout_env()
     digits = "7" * 5000
     path = tmp_path / "big.json"
     for raw in (digits, '"%s/3"' % digits):

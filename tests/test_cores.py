@@ -9,12 +9,12 @@ from coalstab import (Game, InputError, LinearProgram, NoNonGrandPartition, Part
                       optimal_structure_value, strong_core_contains,
                       strong_core_nonempty, weak_core_contains, weak_core_nonempty,
                       worth)
-from coalstab import ratlp
+from coalstab import cores, ratlp
 from helpers import (ADVERSARIAL_6, _unhit_partition, adversarial_game,
                      medium_member_partition_scan, partitions_by_insertion, random_game,
                      sample_efficient_allocations, strong_member_partition_scan,
-                     weak_core_nonempty_unhit, weak_member_partition_scan,
-                     weak_nonempty_oracle_n3)
+                     weak_certificate_table, weak_core_nonempty_unhit,
+                     weak_member_partition_scan, weak_nonempty_oracle_n3)
 
 
 def test_strong_membership_examples(game_a, game_b):
@@ -222,6 +222,60 @@ def test_weak_certificates_check_out():
                     deficient = [len(bl) for bl in partitions_by_insertion(n)
                                  if all(sums[b] < g.value(b) for b in bl)]
                     assert len(report.partition.blocks) == min(deficient)
+
+
+def _assert_cover_equals_table(g, x):
+    report = weak_core_contains(g, x)
+    assert report.reason is None
+    assert (None if report.member else report.partition.blocks) == weak_certificate_table(g, x)
+    return report
+
+
+def test_weak_cover_equals_the_deficiency_table():
+    """The sparse cover's certificate is the dense 0/-1 table's, bit for bit."""
+    rng = random.Random(19)
+    failed = 0
+    for n in range(2, 9):
+        for _ in range(20 if n < 8 else 4):
+            g = random_game(rng, n, lo=-4, hi=10)
+            for x in sample_efficient_allocations(g, rng, count=3):
+                failed += not _assert_cover_equals_table(g, x).member
+    assert failed > 60
+
+
+def test_weak_cover_all_and_none_deficient():
+    for n in range(2, 9):
+        # x = v({i}) = 0 and v(S) = |S| otherwise: every coalition of 2 to n-1
+        # players is deficient, so from n = 4 the certificate has two blocks
+        full = (1 << n) - 1
+        g = Game(n, {m: 0 if m.bit_count() == 1 or m == full else m.bit_count()
+                     for m in range(1, full + 1)})
+        report = _assert_cover_equals_table(g, (0,) * n)
+        assert report.member == (n < 4)
+        # an additive game leaves no coalition deficient
+        w = list(range(1, n + 1))
+        g = Game(n, [sum(w[i] for i in range(n) if m >> i & 1) for m in range(full + 1)])
+        report = _assert_cover_equals_table(g, w)
+        assert report.member and len(report.satisfied) == full - 1
+
+
+def test_weak_cover_on_adversarial_search_witnesses(monkeypatch):
+    """Every witness the weak-core search certifies against, on adversarial
+    6-player games."""
+    seen = []
+    contains = cores.weak_core_contains
+
+    def recorded(game, x):
+        seen.append((game, x))
+        return contains(game, x)
+
+    monkeypatch.setattr(cores, "weak_core_contains", recorded)
+    rng = random.Random(7)
+    for g in [Game(6, ADVERSARIAL_6)] + [adversarial_game(rng, 6) for _ in range(10)]:
+        weak_core_nonempty(g)
+    assert len(seen) > 20
+    for g, x in seen:
+        _assert_cover_equals_table(g, x)
 
 
 def test_core_inclusion_chain():

@@ -47,6 +47,8 @@ def test_game_construction_validation():
         Game(2, [0, 1, 2])  # wrong table length
     with pytest.raises(InputError):
         Game(2, {0b01: 0.5})  # floats rejected
+    with pytest.raises(InputError, match="bools are not accepted"):
+        Game(2, {0b01: True})
     g = Game(2, {0b01: "3/2", 0b11: Fraction(4, 2)})
     assert g.value(0b01) == Fraction(3, 2)
     assert g.value(0b11) == 2 and isinstance(g.value(0b11), int)

@@ -4,7 +4,8 @@ import pytest
 
 from coalstab import (InputError, Partition, load_game, parse_allocation, parse_game_json,
                       parse_rational)
-from coalstab.io import mask_to_names, parse_partition, partition_to_text, rational_json
+from coalstab.io import (mask_to_names, names_to_mask, parse_partition, partition_to_text,
+                         rational_json)
 
 
 def test_load_fixture_games(game_a_path, game_b_path, game_2_path):
@@ -121,3 +122,32 @@ def test_parse_rational_refuses_non_strings():
     for value in (3, None, b"3", 1.5, ["3"]):
         with pytest.raises(InputError, match="expected a string"):
             parse_rational(value)
+
+
+_INDEX = {"A": 0, "B": 1, "C": 2}
+
+
+@pytest.mark.parametrize("key, message", [
+    ("A,Z", "unknown player 'Z' in coalition key 'A,Z'"),
+    ("A, ,B", "empty player name in coalition key 'A, ,B'"),
+    ("A,B, A", "player 'A' repeated in coalition key 'A,B, A'"),
+    ("Z,A,A", "unknown player 'Z' in coalition key 'Z,A,A'"),
+    ("A,A,Z", "player 'A' repeated in coalition key 'A,A,Z'"),
+    (",B,Z", "empty player name in coalition key ',B,Z'"),
+    ("B,B,", "player 'B' repeated in coalition key 'B,B,'"),
+    (["A", "Z"], "unknown player 'Z' in coalition key ['A', 'Z']"),
+    (["A", ""], "empty player name in coalition key ['A', '']"),
+    (["C", "B", "C"], "player 'C' repeated in coalition key ['C', 'B', 'C']"),
+    (["Z", "B", "B"], "unknown player 'Z' in coalition key ['Z', 'B', 'B']"),
+    (["B", "B", "Z"], "player 'B' repeated in coalition key ['B', 'B', 'Z']"),
+    (["", "Z"], "empty player name in coalition key ['', 'Z']"),
+])
+def test_named_mask_reports_the_first_fault(key, message):
+    with pytest.raises(InputError) as err:
+        names_to_mask(key, _INDEX)
+    assert str(err.value) == message
+
+
+def test_named_mask_of_text_and_list_keys():
+    assert names_to_mask(" C , A", _INDEX) == names_to_mask(["C", "A"], _INDEX) == 0b101
+    assert names_to_mask("B", _INDEX) == 0b010

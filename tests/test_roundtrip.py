@@ -185,6 +185,7 @@ STRICT_CASES = {
     "sam-non-dict-step": (SamTrace, {**SAM_DOC, "steps": [["0"]]}),
     "sam-non-dict": (SamTrace, "trace"),
     "sam-float-allocation": (SamTrace, {**SAM_DOC, "allocation": [3.0, 4, 3]}),
+    "sam-bool-allocation": (SamTrace, {**SAM_DOC, "allocation": [True, 4, 3]}),
 }
 
 
