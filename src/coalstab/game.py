@@ -11,16 +11,20 @@ shared instances is safe.
 
 :func:`prefix_sums` is the one subset-sum table: coalition totals of an
 allocation, and unions of disjoint masks (a subgame's players, a group of
-blocks). :func:`_most_short` scans those totals for the coalition an
-allocation leaves most short, the row both strong-core row generation and
-the balancedness program add next.
+blocks). :func:`_scaled_totals` takes an allocation's totals over ints, by
+scaling it and the values to its common denominator, so a coalition scan
+does no ``Fraction`` arithmetic per mask. :func:`_most_short` scans those
+totals for the coalition an allocation leaves most short, the row both
+strong-core row generation and the balancedness program add next.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from itertools import repeat
+from math import lcm
+from operator import mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, EmptyBlockAllocation, InputError
@@ -68,11 +72,22 @@ def prefix_sums(x: Sequence, n: int) -> list:
     return out
 
 
+def _scaled_totals(values: Sequence, x: Sequence, n: int) -> tuple[list, Sequence]:
+    """(D * x(S), D * v(S)) tables over every mask, D the least common
+    denominator of the allocation ``x``: the totals are int sums, and
+    scaling both sides by D > 0 keeps every comparison and every argmax of
+    their differences."""
+    d = lcm(*(v.denominator for v in x))
+    sums = prefix_sums([v.numerator * (d // v.denominator) for v in x], n)
+    return sums, values if d == 1 else list(map(mul, values, repeat(d)))
+
+
 def _most_short(values: Sequence, x: Sequence, n: int) -> tuple[int, ...]:
     """The coalition the allocation ``x`` leaves most short, as a one-tuple:
     largest v(S) - x(S) over every nonempty mask, the lowest mask on ties;
     empty when none falls short."""
-    gaps = list(map(sub, values, prefix_sums(x, n)))
+    sums, vals = _scaled_totals(values, x, n)
+    gaps = list(map(sub, vals, sums))
     worst = max(gaps)
     return (gaps.index(worst),) if worst > 0 else ()
 

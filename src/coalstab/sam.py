@@ -12,7 +12,7 @@ the same table once on the quotient game whose players are the current
 blocks, then picks the best block of two or more quotient players to merge
 next to the optimal structure of the rest. From all singletons the quotient
 game is the game itself, so its cached table is reused and a cold ascent
-builds one 3^n table.
+builds one structure table of at most 3^n steps.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ def best_coarsening(game: Game, p: Partition) -> tuple[Rational, Partition]:
     blocks of ``p`` and whose values come from unions of blocks. Every strict
     coarsening has a block B of at least two quotient players, and the best
     one containing B is B plus the optimal structure of the other quotient
-    players. So one structure table on the quotient game (3^q cells) and a
-    scan over every such B (2^q masks) cover the whole neighborhood. From
-    all singletons the quotient game is the game itself, so the game's
-    cached table is read.
+    players. So one structure table on the quotient game (at most 3^q
+    steps) and a scan over every such B (2^q masks) cover the whole
+    neighborhood. From all singletons the quotient game is the game itself,
+    so the game's cached table is read.
     """
     _check_partition(game, p)
     blocks = p.blocks

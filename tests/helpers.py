@@ -3,18 +3,20 @@
 Everything here is deliberately independent of the library's own algorithms:
 enumeration by element insertion, linear algebra by Gaussian elimination,
 optima by vertex enumeration. These are the slow-but-obvious routes the fast
-implementations are checked against. The exceptions are
-:func:`fission_resistant_direct`, the direct scan of every strict refinement
-over the library's refinement generator, which :func:`checked_stable_contains`
-compares the per-block route against; :func:`covering_value`, the whole
-(2^n - 1)-weight covering program through the library's simplex, which
-shares no row generation with the strong-core search;
-:func:`best_coarsening_pairwise`, which runs the library's structure table
-once per forced pair-merge; :func:`weak_core_nonempty_unhit`, the
-library's earlier weak-core search, which branches on unhit partitions over
-the library's feasibility LP; and :func:`weak_certificate_table`, the full
-3^n structure table over 0/-1 deficiency weights that weak membership ran
-before its sparse cover.
+implementations are checked against. :func:`dense_structure_table` is the
+structure table that tries every first block, 3^n cells, against which the
+library's pruned table is compared; :func:`best_coarsening_pairwise` runs it
+once per forced pair-merge, :func:`weak_certificate_table` runs it over 0/-1
+deficiency weights (what weak membership ran before its sparse cover), and
+:func:`_unhit_partition` runs it over 0/-1 requirement weights. The
+exceptions are :func:`fission_resistant_direct`, the direct scan of every
+strict refinement over the library's refinement generator, which
+:func:`checked_stable_contains` compares the per-block route against;
+:func:`covering_value`, the whole (2^n - 1)-weight covering program through
+the library's simplex, which shares no row generation with the strong-core
+search; and :func:`weak_core_nonempty_unhit`, the library's earlier
+weak-core search, which branches on unhit partitions over the library's
+feasibility LP.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from math import prod
 from coalstab import (CapExceeded, Game, LinearProgram, Partition, coalition_value,
                       equal_surplus_allocation, lp_solve, medium_core_nonempty, members,
                       stable_contains)
-from coalstab.cores import _check_mode, _table_blocks, subset_structure_table
+from coalstab.cores import _check_mode, _table_blocks
 from coalstab.lattice import ENUMERATE_MAX_N, _iter_refinements_raw
 from coalstab.ratlp import _feasible_with
 from coalstab.stability import _require_feasible
@@ -67,6 +69,48 @@ def refines_oracle(p_blocks, q_blocks) -> bool:
     if len(p_blocks) <= len(q_blocks):
         return False
     return all(any(b & q == b for q in q_blocks) for b in p_blocks)
+
+
+# ------------------------------------------------- structure table, dense
+
+def _canonical_prefer(a: int, b: int) -> bool:
+    """True when mask ``a`` precedes ``b``: the lowest differing player sits in ``a``."""
+    d = a ^ b
+    return bool(a & (d & -d))
+
+
+def dense_structure_table(values, nplayers: int):
+    """(worth, block count, first block) per mask by trying every first
+    block that holds the mask's lowest player: 3^n cells, the same tie rule
+    as ``subset_structure_table``, which must return this table exactly."""
+    full = (1 << nplayers) - 1
+    val = [0] * (full + 1)
+    nblocks = [0] * (full + 1)
+    first = [0] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        rest = s ^ low
+        best_v = values[s]
+        best_nb = 1
+        best_t = s
+        if rest:
+            sub = (rest - 1) & rest
+            while True:
+                t = low | sub
+                cand = values[t] + val[s ^ t]
+                if cand > best_v:
+                    best_v, best_nb, best_t = cand, 1 + nblocks[s ^ t], t
+                elif cand == best_v:
+                    nb = 1 + nblocks[s ^ t]
+                    if nb < best_nb or (nb == best_nb and _canonical_prefer(t, best_t)):
+                        best_nb, best_t = nb, t
+                if sub == 0:
+                    break
+                sub = (sub - 1) & rest
+        val[s] = best_v
+        nblocks[s] = best_nb
+        first[s] = best_t
+    return val, nblocks, first
 
 
 # ------------------------------------------------ membership, the long way
@@ -171,7 +215,7 @@ def _unhit_partition(game: Game, required: frozenset) -> tuple[int, ...] | None:
     first, canonical among those; None when every non-grand partition is hit."""
     full = game.full
     weights = [-1 if t in required or t == full else 0 for t in range(full + 1)]
-    val, _, first = subset_structure_table(weights, game.n)
+    val, _, first = dense_structure_table(weights, game.n)
     return _table_blocks(first, full) if val[full] == 0 else None
 
 
@@ -183,7 +227,7 @@ def weak_certificate_table(game: Game, x) -> tuple[int, ...] | None:
     full = game.full
     sums = allocation_sums(x, game.n)
     weights = [0 if sums[t] < game.value(t) else -1 for t in range(full + 1)]
-    val, _, first = subset_structure_table(weights, game.n)
+    val, _, first = dense_structure_table(weights, game.n)
     return _table_blocks(first, full) if val[full] == 0 else None
 
 
@@ -308,7 +352,7 @@ def best_coarsening_pairwise(game: Game, p: Partition):
                 low = m & -m
                 union[m] = union[m ^ low] | reduced[low.bit_length() - 1]
                 qvals[m] = game.value(union[m])
-            val, _, first = subset_structure_table(qvals, q - 1)
+            val, _, first = dense_structure_table(qvals, q - 1)
             cand = val[size - 1]
             out = []
             s = size - 1

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coalstab import (Game, InputError, LinearProgram, NoNonGrandPartition, Partition,
                       all_partitions, lp_solve,
@@ -10,9 +12,13 @@ from coalstab import (Game, InputError, LinearProgram, NoNonGrandPartition, Part
                       strong_core_nonempty, weak_core_contains, weak_core_nonempty,
                       worth)
 from coalstab import cores, ratlp
-from helpers import (ADVERSARIAL_6, _unhit_partition, adversarial_game,
+from coalstab.cores import subset_structure_table
+from coalstab.game import _most_short, prefix_sums
+from helpers import (ADVERSARIAL_6, _unhit_partition, adversarial_game, allocation_sums,
+                     dense_structure_table,
                      medium_member_partition_scan, partitions_by_insertion, random_game,
-                     sample_efficient_allocations, strong_member_partition_scan,
+                     random_partition, sample_efficient_allocations,
+                     strong_member_partition_scan,
                      weak_certificate_table, weak_core_nonempty_unhit,
                      weak_member_partition_scan, weak_nonempty_oracle_n3)
 
@@ -75,6 +81,28 @@ def test_strong_nonempty_row_generation_counts(monkeypatch):
     assert 2 <= len(rows) <= 18
 
 
+def test_coalition_scans_on_fraction_values_match_fraction_sums():
+    # the scans compare totals scaled to the allocation's common denominator;
+    # on Fraction values they must decide as plain Fraction sums do
+    rng = random.Random(35)
+    for n in range(1, 6):
+        for _ in range(12):
+            values = [0] + [Fraction(rng.randint(-12, 12), rng.randint(1, 3))
+                            for _ in range(1, 1 << n)]
+            g = Game(n, values)
+            x = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n))
+            sums = allocation_sums(x, n)
+            gaps = [v - s for v, s in zip(values, sums)]
+            worst = max(gaps)
+            assert _most_short(values, x, n) == ((gaps.index(worst),) if worst > 0 else ())
+            short = [c for c in range(1, 1 << n) if sums[c] < values[c]]
+            report = strong_core_contains(g, x)
+            assert report.coalition == (short[0] if short else None)
+            for x in sample_efficient_allocations(g, rng, count=2):
+                assert strong_core_contains(g, x).member == strong_member_partition_scan(g, x)
+                assert weak_core_contains(g, x).member == weak_member_partition_scan(g, x)
+
+
 def test_strong_membership_equals_partition_scan():
     rng = random.Random(2)
     for n in (2, 3, 4, 5):
@@ -114,6 +142,113 @@ def test_optimal_structure_equals_its_lp_form():
                 1, sense="min", objective=[1],
                 constraints=[([1], ">=", worth(g, p)) for p in all_partitions(n)])
             assert lp_solve(lp).value == optimal_structure_value(g)[0]
+
+
+def _assert_table_is_dense(values, n):
+    """The pruned table equals the dense one on worth, block count and first
+    block of every mask, with the worths' types too."""
+    got, want = subset_structure_table(values, n), dense_structure_table(values, n)
+    assert got == want
+    assert list(map(type, got[0])) == list(map(type, want[0]))
+
+
+def _family_values(rng, family, n):
+    size = 1 << n
+    sizes = [m.bit_count() for m in range(size)]
+    if family == "signed":
+        return random_game(rng, n)._values
+    if family == "linear":
+        return [0] + [rng.randint(0, 20) * sizes[m] for m in range(1, size - 1)] + [40 * n]
+    if family == "superadditive":
+        alone = [rng.randint(0, 10) for _ in range(n)]
+        return [sum(alone[i] for i in range(n) if m >> i & 1)
+                + rng.randint(0, 6) * sizes[m] * (sizes[m] - 1) for m in range(size)]
+    return adversarial_game(rng, n)._values
+
+
+def test_structure_table_equals_dense_on_random_games():
+    rng = random.Random(31)
+    for n in range(1, 9):
+        for _ in range(6):
+            _assert_table_is_dense(random_game(rng, n)._values, n)
+            values = [0] + [Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+                            for _ in range(1, 1 << n)]
+            _assert_table_is_dense(values, n)
+
+
+def test_structure_table_equals_dense_on_game_families():
+    for family in ("signed", "linear", "superadditive", "adversarial"):
+        rng = random.Random(f"table:{family}")
+        for n in range(1, 11):
+            for _ in range(2):
+                _assert_table_is_dense(_family_values(rng, family, n), n)
+
+
+def test_structure_table_equals_dense_on_tie_heavy_tables():
+    rng = random.Random(32)
+    for n in range(1, 10):
+        size = 1 << n
+        sizes = [m.bit_count() for m in range(size)]
+        _assert_table_is_dense([0] * size, n)
+        _assert_table_is_dense(sizes, n)
+        _assert_table_is_dense([k * k for k in sizes], n)
+        _assert_table_is_dense([0] + [rng.randint(-1, 1) for _ in range(1, size)], n)
+        _assert_table_is_dense([0] + [rng.choice((0, -1)) for _ in range(1, size)], n)
+
+
+def test_structure_table_equals_dense_on_quotient_tables():
+    rng = random.Random(33)
+    for n in range(2, 10):
+        g = random_game(rng, n, lo=-3, hi=6)
+        for _ in range(4):
+            blocks = random_partition(rng, n).blocks
+            q = len(blocks)
+            _assert_table_is_dense([g._values[u] for u in prefix_sums(blocks, q)], q)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_structure_table_equals_dense_on_small_ranges(data):
+    # values from a range of two or three integers: ties nearly everywhere
+    n = data.draw(st.integers(1, 6))
+    lo = data.draw(st.integers(-2, 1))
+    rest = data.draw(st.lists(st.integers(lo, lo + data.draw(st.integers(1, 2))),
+                              min_size=(1 << n) - 1, max_size=(1 << n) - 1))
+    _assert_table_is_dense([0] + rest, n)
+
+
+class _CountedValues(list):
+    """A value table that counts the entries read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _table_reads(table, values, n):
+    counted = _CountedValues(values)
+    table(counted, n)
+    return counted.reads
+
+
+def test_structure_table_reads_at_most_half_the_values_of_the_dense_loop():
+    # every coalition worth less than its own best split is never tried as
+    # a block; the dense loop reads (3^8 - 1) / 2 = 3,280 values
+    rng = random.Random(34)
+    for _ in range(5):
+        values = random_game(rng, 8)._values
+        dense = _table_reads(dense_structure_table, values, 8)
+        assert dense == (3 ** 8 - 1) // 2
+        assert 2 * _table_reads(subset_structure_table, values, 8) <= dense
+
+
+def test_structure_table_reads_no_more_than_the_dense_loop_when_all_are_self_optimal():
+    for n in range(1, 9):
+        for values in ([0] * (1 << n), [m.bit_count() ** 2 for m in range(1 << n)]):
+            assert (_table_reads(subset_structure_table, values, n)
+                    <= _table_reads(dense_structure_table, values, n))
 
 
 def test_max_nongrand_examples(game_a, game_b, game_2):
